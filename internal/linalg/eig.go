@@ -47,7 +47,8 @@ func EigHReport(a *tensor.Dense) (w []float64, v *tensor.Dense, rep Report) {
 	// Charge the global flop counter with the standard HEEV-style count
 	// rather than the cyclic Jacobi iteration's larger raw arithmetic;
 	// see svdFlops.
-	chargeAnalytic(func() { w, v, rep = eigHJacobi(a) }, EigFlops(a.Dim(0)))
+	tensor.AddFlops(EigFlops(a.Dim(0)))
+	w, v, rep = eigHJacobi(a)
 	if !rep.Converged {
 		health.CountNonconverged("linalg.eigh")
 	}
@@ -160,7 +161,6 @@ func applyJacobi(m, v []complex128, n, p, q int, c, s float64, phase complex128)
 	cc := complex(c, 0)
 	sp := complex(s, 0) * phase
 	spc := cmplx.Conj(sp)
-	tensor.AddFlops(6 * int64(n))
 	// Columns: m[:, p], m[:, q] <- (m G)
 	for i := 0; i < n; i++ {
 		mip, miq := m[i*n+p], m[i*n+q]

@@ -39,20 +39,14 @@ func svdFlops(m, n int) int64 {
 // on the measured global counter.
 func SVDFlops(m, n int) int64 { return svdFlops(m, n) }
 
-// chargeAnalytic replaces the flops f added to the global counter with
-// the given analytic count.
-func chargeAnalytic(f func(), analytic int64) {
-	before := tensor.FlopCount()
-	f()
-	tensor.AddFlops(analytic - (tensor.FlopCount() - before))
-}
-
 // SVD computes the thin singular value decomposition A = U diag(s) V* of
-// an m-by-n matrix using the one-sided (Hestenes) Jacobi method. U is
-// m-by-k, s has length k, and V is n-by-k with k = min(m, n). Singular
-// values are returned in descending order. One-sided Jacobi computes even
-// the small singular values to high relative accuracy, which matters for
-// the truncation decisions in PEPS compression.
+// an m-by-n matrix using the one-sided (Hestenes) Jacobi method,
+// preconditioned by a column-pivoted QR above a size cutover (see
+// svdJacobi). U is m-by-k, s has length k, and V is n-by-k with
+// k = min(m, n). Singular values are returned in descending order.
+// One-sided Jacobi computes even the small singular values to high
+// relative accuracy, which matters for the truncation decisions in PEPS
+// compression.
 func SVD(a *tensor.Dense) (u *tensor.Dense, s []float64, v *tensor.Dense) {
 	u, s, v, _ = SVDReport(a)
 	return u, s, v
@@ -67,7 +61,8 @@ func SVDReport(a *tensor.Dense) (u *tensor.Dense, s []float64, v *tensor.Dense, 
 	if a.Rank() != 2 {
 		panic(fmt.Sprintf("linalg: SVD requires a matrix, got rank %d", a.Rank()))
 	}
-	chargeAnalytic(func() { u, s, v, rep = svdJacobi(a) }, svdFlops(a.Dim(0), a.Dim(1)))
+	tensor.AddFlops(svdFlops(a.Dim(0), a.Dim(1)))
+	u, s, v, rep = svdJacobi(a, min(a.Dim(0), a.Dim(1)) >= svdPrecondMinCols)
 	if !rep.Converged {
 		health.CountNonconverged("linalg.svd")
 	}
@@ -76,31 +71,124 @@ func SVDReport(a *tensor.Dense) (u *tensor.Dense, s []float64, v *tensor.Dense, 
 	return u, s, v, rep
 }
 
-// svdJacobi is the one-sided Jacobi worker behind SVD.
-func svdJacobi(a *tensor.Dense) (u *tensor.Dense, s []float64, v *tensor.Dense, rep Report) {
-	m, n := a.Dim(0), a.Dim(1)
-	if m < n {
-		// SVD(A) from SVD(A*): A = U S V*  <=>  A* = V S U*.
-		vv, s, uu, rep := svdJacobi(a.Conj().Transpose(1, 0))
-		return uu, s, vv, rep
-	}
+// eps is the float64 unit roundoff 2^-52: a column whose norm is below
+// eps times the largest one is a numerical zero to the Jacobi iteration.
+const eps = 2.220446049250313e-16
 
-	// Column-major copy of A: cols[j] is the j-th column, length m.
-	cols := make([][]complex128, n)
+// svdPrecondMinCols is the cutover of svdJacobi: a matrix whose shorter
+// side is at least this long is preconditioned by a pivoted QR, a
+// smaller one is rotated directly. Read from the table in
+// BenchmarkSVDPrecondCutover's comment (the QR costs more than the sweeps
+// it saves on the 8x8 and 8x16 blocks of a two-site update), which also
+// records the end-to-end reason the plain path exists at all: with the
+// blocks below 8 columns preconditioned, the benchmark's ite_j1j2
+// prepares a state on which its accuracy_digits falls 20%. Rerun that
+// benchmark after touching either path.
+const svdPrecondMinCols = 16
+
+// svdJacobi is the worker behind SVD. With B = A for m >= n and B = A*
+// otherwise (SVD(A) from SVD(A*): A = U S V*  <=>  A* = V S U*), B is
+// M-by-N and tall, and one of two paths factors it:
+//
+//   - plain: rotate the N length-M columns of B until they are mutually
+//     orthogonal, B J = X. Their norms are the singular values, the
+//     normalized columns the left vectors, J the right vectors.
+//   - preconditioned (Drmac-Veselic): B P = Q R by column-pivoted
+//     Householder QR, then the same iteration on the N length-N columns
+//     of R*, R* W = X. Then B = (Q W) S (P X S^-1)*: the left vectors
+//     are orthonormal by construction (a product of reflectors and
+//     rotations, whatever the rank), the sweeps run on short columns,
+//     and there are fewer of them because the rows of a pivoted R are
+//     already graded and nearly orthogonal.
+func svdJacobi(a *tensor.Dense, precond bool) (u *tensor.Dense, s []float64, v *tensor.Dense, rep Report) {
+	m, n := a.Dim(0), a.Dim(1)
+	wide := m < n
+	bm, bn := m, n
+	if wide {
+		bm, bn = n, m
+	}
 	ad := a.Data()
-	for j := 0; j < n; j++ {
-		cols[j] = make([]complex128, m)
-		for i := 0; i < m; i++ {
-			cols[j][i] = ad[i*n+j]
+
+	// x holds the bn columns being orthogonalized (length l each), w the
+	// rotations accumulated on the identity (length bn each).
+	left, right := tensor.New(bm, bn), tensor.New(bn, bn)
+	var h *householder
+	l := bm
+	if precond {
+		l = bn
+	}
+	slab := make([]complex128, bn*l+bn*bn)
+	x, w := slab[:bn*l], slab[bn*l:]
+	if precond {
+		// The left factor's buffer is the QR working copy until R is out.
+		b := left.Data()
+		if wide {
+			for i := 0; i < bm; i++ {
+				for j := 0; j < bn; j++ {
+					b[i*bn+j] = cmplx.Conj(ad[j*n+i])
+				}
+			}
+		} else {
+			copy(b, ad)
+		}
+		h = newHouseholder(b, bm, bn)
+		h.factor(true)
+		// Column j of R* is the conjugated row j of R.
+		for j := 0; j < bn; j++ {
+			for i := j; i < bn; i++ {
+				x[j*bn+i] = cmplx.Conj(b[j*bn+i])
+			}
+		}
+		clear(b)
+	} else {
+		for j := 0; j < bn; j++ {
+			col := x[j*bm : (j+1)*bm]
+			for i := range col {
+				if wide {
+					col[i] = cmplx.Conj(ad[j*n+i])
+				} else {
+					col[i] = ad[i*n+j]
+				}
+			}
 		}
 	}
-	// V accumulated as columns too.
-	vcols := make([][]complex128, n)
-	for j := 0; j < n; j++ {
-		vcols[j] = make([]complex128, n)
-		vcols[j][j] = 1
+	for j := 0; j < bn; j++ {
+		w[j*bn+j] = 1
 	}
 
+	rep = jacobiCols(x, l, w, bn)
+
+	// Singular values are the column norms; sort descending.
+	norms := make([]float64, bn)
+	order := make([]int, bn)
+	for j := range order {
+		order[j] = j
+		norms[j] = norm2(x[j*l : (j+1)*l])
+	}
+	sort.Slice(order, func(i, j int) bool { return norms[order[i]] > norms[order[j]] })
+	s = make([]float64, bn)
+	for c, j := range order {
+		s[c] = norms[j]
+	}
+
+	if h == nil {
+		writeUnitCols(left.Data(), bn, x, l, s, order, nil)
+		writeCols(right.Data(), bn, w, order)
+	} else {
+		writeCols(left.Data(), bn, w, order) // [W; 0], then Q from the left
+		h.applyQ(left.Data(), bn, false)
+		writeUnitCols(right.Data(), bn, x, l, s, order, h.perm)
+	}
+	if wide {
+		return right, s, left, rep
+	}
+	return left, s, right, rep
+}
+
+// jacobiCols makes the n columns of x (column j is x[j*l:(j+1)*l])
+// mutually orthogonal by one-sided Jacobi rotations and applies the same
+// rotations to the n length-n columns of w.
+func jacobiCols(x []complex128, l int, w []complex128, n int) (rep Report) {
 	const tol = 1e-14
 	// Round-robin tournament (circle method) pair ordering: each of the
 	// nc-1 rounds in a sweep pairs every column exactly once, so the
@@ -115,51 +203,71 @@ func svdJacobi(a *tensor.Dense) (u *tensor.Dense, s []float64, v *tensor.Dense, 
 	for i := range pos {
 		pos[i] = i
 	}
-	grain := int(65536/int64(7*m)) + 1
+	grain := int(65536/int64(7*l)) + 1
+	// Cached squared column norms, refreshed by every Gram evaluation and
+	// updated by every rotation (see rotatedNormSq), so a below-floor pair
+	// can be dismissed without reading its columns. An entry is never more
+	// than one rotation away from a computed value.
+	normSqs := make([]float64, n)
+	for j := range normSqs {
+		normSqs[j] = normSq(x[j*l : (j+1)*l])
+	}
+	// moved[j] is the round (counted from 1 across sweeps) of column j's
+	// last rotation. A pairing recurs every nc-1 rounds; if neither column
+	// has moved since the pair last met, its Gram triple is what it was
+	// when it passed the test then, and it passes again unread.
+	moved := make([]int, n)
 	// Columns with norm below eps times the largest column norm carry
 	// singular values beneath float64 relative accuracy; their partially
 	// underflowed Gram entries are inconsistent (the computed correlation
 	// can exceed 1), so rotating against them churns forever without
 	// converging. Treat them as numerical zeros: skip their rotations and
 	// exclude them from the residual scan. The floor is refreshed each
-	// sweep because rotations can grow the largest column toward sigma_max.
-	const eps = 2.220446049250313e-16
-	zeroFloor := func() float64 {
-		maxAlpha := 0.0
-		for j := 0; j < n; j++ {
-			if a := normSq(cols[j]); a > maxAlpha {
-				maxAlpha = a
-			}
-		}
-		return eps * eps * maxAlpha
-	}
+	// sweep because rotations grow the largest column toward sigma_max,
+	// and never lowered, so a column once dismissed stays dismissed;
+	// writeUnitCols replaces such a column (same eps) instead of scaling it.
 	var floor float64
+	var round int
 	var rotated atomic.Bool
+	pairs := func(lo, hi int) {
+		lastMet := round - (nc - 1)
+		for k := lo; k < hi; k++ {
+			p, q := pos[k], pos[nc-1-k]
+			if p >= n || q >= n {
+				continue // the padded slot of an odd tournament
+			}
+			if p > q {
+				p, q = q, p
+			}
+			if normSqs[p] <= floor || normSqs[q] <= floor ||
+				(moved[p] < lastMet && moved[q] < lastMet) {
+				continue
+			}
+			xp, xq := x[p*l:(p+1)*l], x[q*l:(q+1)*l]
+			alpha, beta, gamma := tensor.ColGram(xp, xq)
+			normSqs[p], normSqs[q] = alpha, beta
+			g := cmplx.Abs(gamma)
+			if alpha <= floor || beta <= floor || g <= tol*math.Sqrt(alpha)*math.Sqrt(beta) {
+				continue
+			}
+			rotated.Store(true)
+			c, sn, phase := jacobiRotation(alpha, beta, gamma)
+			tensor.JacobiRotate(xp, xq, c, sn, phase)
+			tensor.JacobiRotate(w[p*n:(p+1)*n], w[q*n:(q+1)*n], c, sn, phase)
+			moved[p], moved[q] = round, round
+			t := sn / c * g
+			normSqs[p], normSqs[q] = rotatedNormSq(alpha, -t, xp), rotatedNormSq(beta, t, xq)
+		}
+	}
 	rotated.Store(true) // n <= 1 never sweeps yet is trivially converged
 	for rep.Sweeps = 0; rep.Sweeps < maxJacobiSweeps; rep.Sweeps++ {
 		rotated.Store(false)
-		floor = zeroFloor()
-		for round := 0; round < nc-1; round++ {
-			pool.For(nc/2, grain, func(lo, hi int) {
-				for w := lo; w < hi; w++ {
-					p, q := pos[w], pos[nc-1-w]
-					if p >= n || q >= n {
-						continue // the padded slot of an odd tournament
-					}
-					if p > q {
-						p, q = q, p
-					}
-					alpha, beta, gamma := colGram(cols[p], cols[q])
-					if alpha <= floor || beta <= floor ||
-						cmplx.Abs(gamma) <= tol*math.Sqrt(alpha)*math.Sqrt(beta) {
-						continue
-					}
-					rotated.Store(true)
-					c, sn, phase := jacobiRotation(alpha, beta, gamma)
-					rotateCols(cols[p], cols[q], c, sn, phase)
-					rotateCols(vcols[p], vcols[q], c, sn, phase)
-				}
-			})
+		for _, a := range normSqs {
+			floor = math.Max(floor, eps*eps*a)
+		}
+		for r := 0; r < nc-1; r++ {
+			round++
+			pool.For(nc/2, grain, pairs)
 			// Advance the circle: slot 0 stays, the rest shift one step.
 			last := pos[nc-1]
 			copy(pos[2:], pos[1:nc-1])
@@ -172,13 +280,13 @@ func svdJacobi(a *tensor.Dense) (u *tensor.Dense, s []float64, v *tensor.Dense, 
 	// Converged iff a full sweep finished without any rotation. When the
 	// sweep budget ran out, measure how far from orthogonal the columns
 	// still are: the largest |<p,q>| / (||p|| ||q||) over column pairs
-	// (the quantity each rotation drives below tol). This scan is O(n^2 m)
+	// (the quantity each rotation drives below tol). This scan is O(n^2 l)
 	// but only runs on the rare non-converged exit.
 	rep.Converged = !rotated.Load()
 	if !rep.Converged {
 		for p := 0; p < n; p++ {
 			for q := p + 1; q < n; q++ {
-				alpha, beta, gamma := colGram(cols[p], cols[q])
+				alpha, beta, gamma := tensor.ColGram(x[p*l:(p+1)*l], x[q*l:(q+1)*l])
 				if alpha > floor && beta > floor {
 					if r := cmplx.Abs(gamma) / (math.Sqrt(alpha) * math.Sqrt(beta)); r > rep.Residual {
 						rep.Residual = r
@@ -187,71 +295,67 @@ func svdJacobi(a *tensor.Dense) (u *tensor.Dense, s []float64, v *tensor.Dense, 
 			}
 		}
 	}
+	return rep
+}
 
-	// Singular values are the column norms; sort descending.
-	type pair struct {
-		s float64
-		j int
+// rotatedNormSq is the squared norm of the column col after a rotation
+// changed it from prev by d (exactly, in exact arithmetic). The sum
+// carries an absolute error of order eps*prev, so when the rotation
+// removed all but sqrt(eps) of the column (two near-parallel columns, a
+// singular value gap of four decades) what is left of it is noise, down
+// to zero or negative, and the norm is recomputed from the column
+// instead: the cache decides which columns are numerical zeros, and must
+// not lose one that is merely small.
+func rotatedNormSq(prev, d float64, col []complex128) float64 {
+	const sqrtEps = 1.4901161193847656e-08
+	if r := prev + d; r > sqrtEps*prev {
+		return r
 	}
-	pairs := make([]pair, n)
-	for j := 0; j < n; j++ {
-		pairs[j] = pair{norm2(cols[j]), j}
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].s > pairs[j].s })
+	return normSq(col)
+}
 
-	k := n // thin: k = min(m,n) = n here
-	u = tensor.New(m, k)
-	v = tensor.New(n, k)
-	s = make([]float64, k)
-	ud, vd := u.Data(), v.Data()
-	smax := pairs[0].s
-	for col, pr := range pairs {
-		s[col] = pr.s
-		src := cols[pr.j]
-		if pr.s > 1e-300 && pr.s > 1e-16*smax {
-			inv := complex(1/pr.s, 0)
-			for i := 0; i < m; i++ {
-				ud[i*k+col] = src[i] * inv
+// writeCols stores column order[c] of w (n columns of length n) as
+// column c of the row-major matrix d, whose rows are k wide.
+func writeCols(d []complex128, k int, w []complex128, order []int) {
+	n := len(order)
+	for c, j := range order {
+		for i, v := range w[j*n : (j+1)*n] {
+			d[i*k+c] = v
+		}
+	}
+}
+
+// writeUnitCols stores column order[c] of x (length l), scaled to unit
+// norm by 1/s[c], as column c of the row-major l-by-k matrix d; entry i
+// lands in row rowOf[i] (row i when rowOf is nil). A numerically zero
+// singular value has no direction of its own: its column is completed
+// with a unit vector orthogonal to the columns before it.
+func writeUnitCols(d []complex128, k int, x []complex128, l int, s []float64, order, rowOf []int) {
+	var cand []complex128
+	for c, j := range order {
+		if s[c] > 1e-300 && s[c] > eps*s[0] {
+			inv := complex(1/s[c], 0)
+			for i, v := range x[j*l : (j+1)*l] {
+				if rowOf != nil {
+					i = rowOf[i]
+				}
+				d[i*k+c] = v * inv
 			}
-		} else {
-			// Numerically zero singular value: complete U with a unit
-			// vector orthogonal to the previous columns (deterministic
-			// Gram-Schmidt over coordinate vectors).
-			fillOrthoColumn(ud, m, k, col)
+			continue
 		}
-		vsrc := vcols[pr.j]
-		for i := 0; i < n; i++ {
-			vd[i*k+col] = vsrc[i]
+		if cand == nil {
+			cand = make([]complex128, l)
 		}
+		fillOrthoColumn(d, l, k, c, cand)
 	}
-	return u, s, v, rep
 }
 
-// colGram returns ||p||^2, ||q||^2 and <p, q> = p* q.
-func colGram(p, q []complex128) (alpha, beta float64, gamma complex128) {
-	tensor.AddFlops(3 * int64(len(p)))
-	for i := range p {
-		alpha += real(p[i])*real(p[i]) + imag(p[i])*imag(p[i])
-		beta += real(q[i])*real(q[i]) + imag(q[i])*imag(q[i])
-		gamma += cmplx.Conj(p[i]) * q[i]
-	}
-	return alpha, beta, gamma
-}
-
-// rotateCols applies the 2-column Jacobi update [p q] <- [p q] G where
-// G = [[c, s*phase], [-s*conj(phase), c]].
-func rotateCols(p, q []complex128, c, s float64, phase complex128) {
-	tensor.AddFlops(4 * int64(len(p)))
-	tensor.JacobiRotate(p, q, c, s, phase)
-}
-
-// fillOrthoColumn writes into column col of the row-major m-by-k matrix a
-// unit vector orthogonal to columns 0..col-1.
-func fillOrthoColumn(d []complex128, m, k, col int) {
-	for trial := 0; trial < m; trial++ {
-		// candidate basis vector e_trial
-		cand := make([]complex128, m)
-		cand[trial] = 1
+// fillOrthoColumn writes into column col of the row-major m-by-k matrix d
+// a unit vector orthogonal to columns 0..col-1 (deterministic
+// Gram-Schmidt over coordinate vectors), using cand (length m) as its
+// trial vector.
+func fillOrthoColumn(d []complex128, m, k, col int, cand []complex128) {
+	project := func() float64 {
 		for c := 0; c < col; c++ {
 			var dot complex128
 			for i := 0; i < m; i++ {
@@ -261,13 +365,26 @@ func fillOrthoColumn(d []complex128, m, k, col int) {
 				cand[i] -= dot * d[i*k+c]
 			}
 		}
-		if nn := norm2(cand); nn > 1e-6 {
-			inv := complex(1/nn, 0)
-			for i := 0; i < m; i++ {
-				d[i*k+col] = cand[i] * inv
-			}
-			return
+		return norm2(cand)
+	}
+	for trial := 0; trial < m; trial++ {
+		// candidate basis vector e_trial
+		clear(cand)
+		cand[trial] = 1
+		nn := project()
+		if nn <= 1e-6 {
+			continue
 		}
+		// A projection that removed most of the vector leaves it orthogonal
+		// only to eps/nn; a second pass restores working accuracy.
+		if nn < 0.7 {
+			nn = project()
+		}
+		inv := complex(1/nn, 0)
+		for i := 0; i < m; i++ {
+			d[i*k+col] = cand[i] * inv
+		}
+		return
 	}
 	// Unreachable for col < m, but leave the column zero rather than panic.
 }

@@ -74,6 +74,29 @@ func TestExpectationBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestBMPSNormFlopsEqualAcrossWorkers pins the flop accounting of a
+// boundary-MPS norm: the top and bottom sweeps run their SVDs and GEMMs
+// concurrently at more than one worker, and every factorization charges
+// its analytic count with a single add, so the total cannot depend on
+// the pool size. (The charge used to be "replace what the counter gained
+// while I ran", which swallowed the other sweep's GEMMs.)
+func TestBMPSNormFlopsEqualAcrossWorkers(t *testing.T) {
+	var want int64
+	forEachWorkerCount(t, func(t *testing.T, w int) {
+		p := testState(4, 4, 3)
+		tensor.ResetFlopCount()
+		p.Norm(BMPS{M: 9, Strategy: explicit()})
+		got := tensor.FlopCount()
+		if w == workerCounts[0] {
+			want = got
+			return
+		}
+		if got != want {
+			t.Fatalf("workers=%d: BMPS norm counted %d flops, single-worker %d", w, got, want)
+		}
+	})
+}
+
 func TestTopEnvironmentsBitIdenticalAcrossWorkers(t *testing.T) {
 	var want []boundary
 	forEachWorkerCount(t, func(t *testing.T, w int) {

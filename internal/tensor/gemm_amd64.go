@@ -11,6 +11,8 @@ package tensor
 //     are written contiguously from c0/c1.
 //   - axpy2Asm / axpy1Asm: plain contiguous slices, any n >= 0.
 //   - jacobiRotateAsm: p and q are the two columns, n complexes each.
+//   - colGramAsm: the same two columns, n >= 1; out receives
+//     ||p||^2, ||q||^2, re(p* q), im(p* q).
 //
 // All kernels are elementwise or fixed-order reductions per output, so
 // results do not depend on how callers split rows across workers.
@@ -29,6 +31,9 @@ func axpy1Asm(dst, x *complex128, n int, a complex128)
 
 //go:noescape
 func jacobiRotateAsm(p, q *complex128, n int, c float64, sp complex128)
+
+//go:noescape
+func colGramAsm(p, q *complex128, n int, out *[4]float64)
 
 //go:noescape
 func gemmPanelPairC64Asm(c0, c1, a0, a1, pack *complex64, kp, pairs int, store bool)

@@ -474,63 +474,164 @@ crowdone:
 //	p[i] = c*p[i] - conj(sp)*q[i]
 //	q[i] = sp*p[i] + c*q[i]      (p[i] read before the update)
 //
-// elementwise over n complexes. cmul(w, v) = addsub(re(w)*v,
-// im(w)*swap(v)); conj(sp) reuses re(sp) with the negated imaginary
-// broadcast.
+// elementwise over n complexes. With a = re(sp), b = im(sp) and the
+// signs of the cross terms folded into two broadcast constants,
+//
+//	conj(sp)*v = a*v + [b, -b]*swap(v)
+//	sp*v       = a*v + [-b, b]*swap(v)
+//
+// each output is one multiply and two fused multiply-adds.
 TEXT ·jacobiRotateAsm(SB), NOSPLIT, $0-48
 	MOVQ         p+0(FP), DI
 	MOVQ         q+8(FP), SI
 	MOVQ         n+16(FP), R11
 	SHLQ         $4, R11
 	VBROADCASTSD c+24(FP), Y8       // c
-	VBROADCASTSD sp_real+32(FP), Y9 // re(sp)
-	VBROADCASTSD sp_imag+40(FP), Y10 // im(sp)
-	VPCMPEQD     Y11, Y11, Y11
-	VPSLLQ       $63, Y11, Y11      // sign mask
-	VXORPD       Y11, Y10, Y11      // -im(sp)
+	VBROADCASTSD sp_real+32(FP), Y9 // a
+	VBROADCASTSD sp_imag+40(FP), Y10 // b
+	VPCMPEQD     Y12, Y12, Y12
+	VPSLLQ       $63, Y12, Y12      // sign bit in every lane
+	VXORPD       Y13, Y13, Y13
+	VBLENDPD     $0xA, Y12, Y13, Y13 // sign bit in the odd lanes
+	VXORPD       Y13, Y10, Y10      // [b, -b, b, -b]
+	VXORPD       Y12, Y10, Y11      // [-b, b, -b, b]
 	XORQ         BX, BX
 
 jrotloop:
-	LEAQ        32(BX), DX
-	CMPQ        DX, R11
-	JGT         jrottail
-	VMOVUPD     (DI)(BX*1), Y0      // P
-	VMOVUPD     (SI)(BX*1), Y1      // Q
-	VPERMILPD   $5, Y0, Y2          // swap(P)
-	VPERMILPD   $5, Y1, Y3          // swap(Q)
-	VMULPD      Y9, Y1, Y4          // re(sp)*Q
-	VMULPD      Y11, Y3, Y5         // -im(sp)*swap(Q)
-	VADDSUBPD   Y5, Y4, Y4          // conj(sp)*Q
-	VFMSUB231PD Y8, Y0, Y4          // newP = c*P - conj(sp)*Q
-	VMULPD      Y9, Y0, Y6          // re(sp)*P
-	VMULPD      Y10, Y2, Y7         // im(sp)*swap(P)
-	VADDSUBPD   Y7, Y6, Y6          // sp*P
-	VFMADD231PD Y8, Y1, Y6          // newQ = sp*P + c*Q
-	VMOVUPD     Y4, (DI)(BX*1)
-	VMOVUPD     Y6, (SI)(BX*1)
-	MOVQ        DX, BX
-	JMP         jrotloop
+	LEAQ         32(BX), DX
+	CMPQ         DX, R11
+	JGT          jrottail
+	VMOVUPD      (DI)(BX*1), Y0     // P
+	VMOVUPD      (SI)(BX*1), Y1     // Q
+	VPERMILPD    $5, Y0, Y2         // swap(P)
+	VPERMILPD    $5, Y1, Y3         // swap(Q)
+	VMULPD       Y8, Y0, Y4         // c*P
+	VMULPD       Y8, Y1, Y6         // c*Q
+	VFNMADD231PD Y9, Y1, Y4         // - a*Q
+	VFMADD231PD  Y9, Y0, Y6         // + a*P
+	VFNMADD231PD Y10, Y3, Y4        // newP = c*P - conj(sp)*Q
+	VFMADD231PD  Y11, Y2, Y6        // newQ = c*Q + sp*P
+	VMOVUPD      Y4, (DI)(BX*1)
+	VMOVUPD      Y6, (SI)(BX*1)
+	MOVQ         DX, BX
+	JMP          jrotloop
 
 jrottail:
-	CMPQ        BX, R11
-	JGE         jrotdone
-	VMOVUPD     (DI)(BX*1), X0
-	VMOVUPD     (SI)(BX*1), X1
-	VPERMILPD   $1, X0, X2
-	VPERMILPD   $1, X1, X3
-	VMULPD      X9, X1, X4
-	VMULPD      X11, X3, X5
-	VADDSUBPD   X5, X4, X4
-	VFMSUB231PD X8, X0, X4
-	VMULPD      X9, X0, X6
-	VMULPD      X10, X2, X7
-	VADDSUBPD   X7, X6, X6
-	VFMADD231PD X8, X1, X6
-	VMOVUPD     X4, (DI)(BX*1)
-	VMOVUPD     X6, (SI)(BX*1)
-	ADDQ        $16, BX
-	JMP         jrottail
+	CMPQ         BX, R11
+	JGE          jrotdone
+	VMOVUPD      (DI)(BX*1), X0
+	VMOVUPD      (SI)(BX*1), X1
+	VPERMILPD    $1, X0, X2
+	VPERMILPD    $1, X1, X3
+	VMULPD       X8, X0, X4
+	VMULPD       X8, X1, X6
+	VFNMADD231PD X9, X1, X4
+	VFMADD231PD  X9, X0, X6
+	VFNMADD231PD X10, X3, X4
+	VFMADD231PD  X11, X2, X6
+	VMOVUPD      X4, (DI)(BX*1)
+	VMOVUPD      X6, (SI)(BX*1)
+	ADDQ         $16, BX
+	JMP          jrottail
 
 jrotdone:
+	VZEROUPPER
+	RET
+
+// func colGramAsm(p, q *complex128, n int, out *[4]float64)
+//
+// The Gram triple of a column pair in one pass:
+//
+//	out[0] = sum |p[i]|^2          out[1] = sum |q[i]|^2
+//	out[2] + i*out[3] = sum conj(p[i])*q[i]
+//
+// Per YMM (two complexes) the four sums take one FMA each: P*P, Q*Q,
+// P*Q (lanes sum to the real part) and P*swap(Q) (even minus odd lanes
+// is the imaginary part). The main loop handles two YMM pairs with
+// eight independent accumulators to cover the FMA latency; they are
+// folded pairwise once at the end, then a lone trailing complex is
+// added in XMM registers (a VEX 128-bit write would zero the upper
+// accumulator lanes, hence after the fold). The reduction order is a
+// function of n alone.
+TEXT ·colGramAsm(SB), NOSPLIT, $0-32
+	MOVQ   p+0(FP), DI
+	MOVQ   q+8(FP), SI
+	MOVQ   n+16(FP), R11
+	SHLQ   $4, R11
+	MOVQ   out+24(FP), R8
+	VXORPD Y0, Y0, Y0             // alpha
+	VXORPD Y1, Y1, Y1             // beta
+	VXORPD Y2, Y2, Y2             // re
+	VXORPD Y3, Y3, Y3             // im (even lanes minus odd lanes)
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ   BX, BX
+
+cgram4:
+	LEAQ        64(BX), DX
+	CMPQ        DX, R11
+	JGT         cgram2
+	VMOVUPD     (DI)(BX*1), Y8    // P0
+	VMOVUPD     (SI)(BX*1), Y9    // Q0
+	VMOVUPD     32(DI)(BX*1), Y10 // P1
+	VMOVUPD     32(SI)(BX*1), Y11 // Q1
+	VPERMILPD   $5, Y9, Y12       // swap(Q0)
+	VPERMILPD   $5, Y11, Y13      // swap(Q1)
+	VFMADD231PD Y8, Y8, Y0
+	VFMADD231PD Y9, Y9, Y1
+	VFMADD231PD Y9, Y8, Y2
+	VFMADD231PD Y12, Y8, Y3
+	VFMADD231PD Y10, Y10, Y4
+	VFMADD231PD Y11, Y11, Y5
+	VFMADD231PD Y11, Y10, Y6
+	VFMADD231PD Y13, Y10, Y7
+	MOVQ        DX, BX
+	JMP         cgram4
+
+cgram2:
+	LEAQ        32(BX), DX
+	CMPQ        DX, R11
+	JGT         cgramfold
+	VMOVUPD     (DI)(BX*1), Y8
+	VMOVUPD     (SI)(BX*1), Y9
+	VPERMILPD   $5, Y9, Y12
+	VFMADD231PD Y8, Y8, Y0
+	VFMADD231PD Y9, Y9, Y1
+	VFMADD231PD Y9, Y8, Y2
+	VFMADD231PD Y12, Y8, Y3
+	MOVQ        DX, BX
+
+cgramfold:
+	VADDPD       Y4, Y0, Y0
+	VADDPD       Y5, Y1, Y1
+	VADDPD       Y6, Y2, Y2
+	VADDPD       Y7, Y3, Y3
+	VEXTRACTF128 $1, Y0, X4
+	VEXTRACTF128 $1, Y1, X5
+	VEXTRACTF128 $1, Y2, X6
+	VEXTRACTF128 $1, Y3, X7
+	VADDPD       X4, X0, X0
+	VADDPD       X5, X1, X1
+	VADDPD       X6, X2, X2
+	VADDPD       X7, X3, X3
+	CMPQ         BX, R11
+	JGE          cgramout
+	VMOVUPD      (DI)(BX*1), X8
+	VMOVUPD      (SI)(BX*1), X9
+	VPERMILPD    $1, X9, X12
+	VFMADD231PD  X8, X8, X0
+	VFMADD231PD  X9, X9, X1
+	VFMADD231PD  X9, X8, X2
+	VFMADD231PD  X12, X8, X3
+
+cgramout:
+	VHADDPD   X1, X0, X0          // [alpha, beta]
+	VHADDPD   X2, X2, X2          // re in lane 0
+	VHSUBPD   X3, X3, X3          // im = even - odd in lane 0
+	VUNPCKLPD X3, X2, X2          // [re, im]
+	VMOVUPD   X0, (R8)
+	VMOVUPD   X2, 16(R8)
 	VZEROUPPER
 	RET

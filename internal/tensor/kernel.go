@@ -1,7 +1,8 @@
 package tensor
 
-// Kernel dispatch: the packed-panel GEMM, the scatter accumulators, and
-// the Jacobi rotation apply each exist twice — a portable pure-Go
+// Kernel dispatch: the packed-panel GEMM, the scatter accumulators, the
+// Jacobi column-pair kernels (Gram triple and rotation apply) and the
+// Householder reflector passes each exist twice — a portable pure-Go
 // reference and an AVX2+FMA assembly microkernel (gemm_amd64.s). The
 // assembly is selected at process start by CPU-feature detection and can
 // be overridden per process:
@@ -24,6 +25,7 @@ package tensor
 
 import (
 	"fmt"
+	"math/cmplx"
 	"os"
 	"sync/atomic"
 
@@ -110,9 +112,10 @@ func CPUFeatures() string { return cpuFeatures }
 //	q[i] = s*phase*p[i] + c*q[i]
 //
 // in place. It is the inner loop of the one-sided Jacobi SVD in
-// internal/linalg; the caller accounts the flops. The update is purely
-// elementwise, so both kernel variants are invariant under any row
-// split.
+// internal/linalg (which charges its flops analytically, once per
+// factorization — none of the column kernels here count). The update is
+// purely elementwise, so both kernel variants are invariant under any
+// row split.
 func JacobiRotate(p, q []complex128, c float64, s float64, phase complex128) {
 	if len(p) == 0 {
 		return
@@ -129,5 +132,105 @@ func JacobiRotate(p, q []complex128, c float64, s float64, phase complex128) {
 		pi, qi := p[i], q[i]
 		p[i] = cc*pi - spc*qi
 		q[i] = sp*pi + cc*qi
+	}
+}
+
+// ColGram returns the Gram triple of a column pair in one pass over the
+// data: alpha = ||p||^2, beta = ||q||^2 and gamma = p* q. It is the
+// convergence test of the one-sided Jacobi SVD in internal/linalg. Each
+// sum is a fixed-order reduction over the column (serial in the Go
+// variant; eight lane accumulators folded once at the end in the
+// assembly), so the result depends only on the data and the kernel
+// variant, never on the worker count.
+func ColGram(p, q []complex128) (alpha, beta float64, gamma complex128) {
+	if len(p) == 0 {
+		return 0, 0, 0
+	}
+	q = q[:len(p)]
+	if useAsm() {
+		var out [4]float64
+		colGramAsm(&p[0], &q[0], len(p), &out)
+		return out[0], out[1], complex(out[2], out[3])
+	}
+	var re, im float64
+	for i, pi := range p {
+		pr, pim := real(pi), imag(pi)
+		qr, qim := real(q[i]), imag(q[i])
+		alpha += pr*pr + pim*pim
+		beta += qr*qr + qim*qim
+		re += pr*qr + pim*qim
+		im += pr*qim - pim*qr
+	}
+	return alpha, beta, complex(re, im)
+}
+
+// ReflectorProject computes w = v* A for the len(v)-by-len(w) block of
+// a row-major matrix that starts at a[0] with row stride `stride`: the
+// first pass of applying a Householder reflector H = I - tau v v* from
+// the left. Rows are read contiguously; every w[c] accumulates the rows
+// in a fixed order (one at a time in the Go variant, in pairs in the
+// assembly), independent of how a caller splits the columns. A row whose
+// v entry is zero is not read in either variant, so a non-finite entry
+// there stays out of w.
+func ReflectorProject(w, a []complex128, stride int, v []complex128) {
+	n := len(w)
+	if n == 0 {
+		return
+	}
+	clear(w)
+	if useAsm() {
+		i := 0
+		for ; i+1 < len(v); i += 2 {
+			v0, v1 := cmplx.Conj(v[i]), cmplx.Conj(v[i+1])
+			switch {
+			case v0 != 0 && v1 != 0:
+				axpy2Asm(&w[0], &a[i*stride], &a[(i+1)*stride], n, v0, v1, false)
+			case v0 != 0:
+				axpy1Asm(&w[0], &a[i*stride], n, v0)
+			case v1 != 0:
+				axpy1Asm(&w[0], &a[(i+1)*stride], n, v1)
+			}
+		}
+		if i < len(v) && v[i] != 0 {
+			axpy1Asm(&w[0], &a[i*stride], n, cmplx.Conj(v[i]))
+		}
+		return
+	}
+	for i, x := range v {
+		vi := cmplx.Conj(x)
+		if vi == 0 {
+			continue
+		}
+		row := a[i*stride : i*stride+n]
+		for c, r := range row {
+			w[c] += vi * r
+		}
+	}
+}
+
+// ReflectorUpdate applies A -= tau v w to the same block: the second
+// pass of the reflector application. Purely elementwise, so both kernel
+// variants are invariant under any row or column split; a row whose v
+// entry is zero is left untouched.
+func ReflectorUpdate(a []complex128, stride int, v, w []complex128, tau float64) {
+	n := len(w)
+	if n == 0 {
+		return
+	}
+	asm := useAsm()
+	ct := complex(tau, 0)
+	for i, x := range v {
+		f := ct * x
+		if f == 0 {
+			continue
+		}
+		if asm {
+			axpy1Asm(&a[i*stride], &w[0], n, -f)
+			continue
+		}
+		row := a[i*stride : i*stride+n]
+		for c := range row {
+			row[c] -= f * w[c]
+		}
 	}
 }

@@ -122,3 +122,44 @@ func BenchmarkTranspose4D(b *testing.B) {
 		x.Transpose(3, 1, 2, 0)
 	}
 }
+
+// reportGBs reports the bytes a kernel reads and writes per second.
+func reportGBs(b *testing.B, bytesPerOp int64) {
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(bytesPerOp)*float64(b.N)/s/1e9, "GB/s")
+	}
+}
+
+// BenchmarkColGram is the Jacobi SVD's convergence test on the column
+// lengths it sees: a small two-site update, the 81 of an M=9 r=3 BMPS
+// bond (both L1-resident), and a tall RandSVD panel.
+func BenchmarkColGram(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{16, 81, 512} {
+		p, q := Rand(rng, n).Data(), Rand(rng, n).Data()
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				alpha, _, _ := ColGram(p, q)
+				sink += alpha
+			}
+			_ = sink
+			reportGBs(b, int64(2*16*n))
+		})
+	}
+}
+
+// BenchmarkJacobiRotate is the rotation apply on the same lengths
+// (both columns read and written).
+func BenchmarkJacobiRotate(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{16, 81, 512} {
+		p, q := Rand(rng, n).Data(), Rand(rng, n).Data()
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				JacobiRotate(p, q, 0.8, 0.6, complex(0.28, -0.96))
+			}
+			reportGBs(b, int64(4*16*n))
+		})
+	}
+}

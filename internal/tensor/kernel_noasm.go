@@ -33,6 +33,10 @@ func jacobiRotateAsm(p, q *complex128, n int, c float64, sp complex128) {
 	panic("tensor: asm kernel called on a purego build")
 }
 
+func colGramAsm(p, q *complex128, n int, out *[4]float64) {
+	panic("tensor: asm kernel called on a purego build")
+}
+
 func gemmPanelPairC64Asm(c0, c1, a0, a1, pack *complex64, kp, pairs int, store bool) {
 	panic("tensor: asm kernel called on a purego build")
 }

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -324,4 +326,191 @@ func TestJacobiRotateKernels(t *testing.T) {
 		SetKernel("auto")
 	}
 	SetKernel("auto")
+}
+
+// kernelVariants runs f once per kernel variant the host can serve
+// ("go" always, "asm" when available), restoring auto dispatch after.
+func kernelVariants(t *testing.T, f func(variant string)) {
+	t.Helper()
+	defer SetKernel("auto")
+	for _, variant := range []string{"go", "asm"} {
+		if SetKernel(variant) != nil {
+			continue
+		}
+		f(variant)
+	}
+}
+
+// kernelLens covers the empty and single-element columns, both odd
+// tails of the assembly (one YMM, one XMM, both) and a long column.
+var kernelLens = []int{0, 1, 2, 3, 4, 5, 7, 8, 64, 65, 81, 127, 512}
+
+// TestColGramKernels checks the fused Gram triple against the three
+// plain reductions it replaces: the forced-go variant bit for bit
+// (it is the same serial sum), the assembly within kernelTol(n).
+func TestColGramKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, n := range kernelLens {
+		p := Rand(rng, n+1).Data()[:n]
+		q := Rand(rng, n+1).Data()[:n]
+		var wantA, wantB float64
+		var wantG complex128
+		for i := range p {
+			wantA += real(p[i])*real(p[i]) + imag(p[i])*imag(p[i])
+			wantB += real(q[i])*real(q[i]) + imag(q[i])*imag(q[i])
+			wantG += complex(real(p[i]), -imag(p[i])) * q[i]
+		}
+		kernelVariants(t, func(variant string) {
+			alpha, beta, gamma := ColGram(p, q)
+			tol := kernelTol(n)
+			if variant == "go" {
+				tol = 0
+			}
+			if math.Abs(alpha-wantA) > tol || math.Abs(beta-wantB) > tol || !closeTo(gamma, wantG, tol) {
+				t.Fatalf("%s ColGram n=%d: got (%v, %v, %v), want (%v, %v, %v)",
+					variant, n, alpha, beta, gamma, wantA, wantB, wantG)
+			}
+			// The pair (p, p) is its own norm: gamma must be real and
+			// equal alpha in either variant's summation order.
+			a2, b2, g2 := ColGram(p, p)
+			if a2 != b2 || math.Abs(real(g2)-a2) > tol || math.Abs(imag(g2)) > tol {
+				t.Fatalf("%s ColGram(p, p) n=%d inconsistent: %v %v %v", variant, n, a2, b2, g2)
+			}
+		})
+	}
+}
+
+// reflectorRef applies H = I - tau v v* to the rows-by-cols block of a
+// (row stride `stride`) with plain loops: the specification both
+// reflector passes are checked against.
+func reflectorRef(a []complex128, stride, cols int, v []complex128, tau float64) (w []complex128) {
+	w = make([]complex128, cols)
+	for i, x := range v {
+		for c := 0; c < cols; c++ {
+			w[c] += complex(real(x), -imag(x)) * a[i*stride+c]
+		}
+	}
+	for i, x := range v {
+		for c := 0; c < cols; c++ {
+			a[i*stride+c] -= complex(tau, 0) * x * w[c]
+		}
+	}
+	return w
+}
+
+// TestReflectorPassKernels checks the two contiguous-row passes of a
+// Householder application on sub-blocks of a wider matrix (stride >
+// cols, so a pass that strays outside its block corrupts a sentinel):
+// asm against the reference within kernelTol(rows), the projection
+// independent of how the columns are split, the update independent of
+// how the rows are split, and a unit-norm v with tau = 2 an involution.
+func TestReflectorPassKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, rows := range []int{0, 1, 2, 3, 8, 65} {
+		for _, cols := range []int{0, 1, 2, 3, 7, 64, 81} {
+			stride := cols + 3
+			a0 := Rand(rng, rows*stride+1).Data()
+			v := Rand(rng, rows+1).Data()[:rows]
+			var nv2 float64
+			for _, x := range v {
+				nv2 += real(x)*real(x) + imag(x)*imag(x)
+			}
+			tau := 0.0
+			if nv2 > 0 {
+				tau = 2 / nv2
+			}
+			want := append([]complex128(nil), a0...)
+			wantW := reflectorRef(want, stride, cols, v, tau)
+
+			kernelVariants(t, func(variant string) {
+				tol := kernelTol(rows) * (1 + tau)
+				a := append([]complex128(nil), a0...)
+				w := make([]complex128, cols)
+				ReflectorProject(w, a, stride, v)
+				for c := range w {
+					if !closeTo(w[c], wantW[c], tol) {
+						t.Fatalf("%s ReflectorProject %dx%d col %d: %v want %v", variant, rows, cols, c, w[c], wantW[c])
+					}
+				}
+				// Column-split invariance: each w[c] is its own reduction.
+				if rows > 0 && cols > 2 {
+					split := make([]complex128, cols)
+					h := cols / 2
+					ReflectorProject(split[:h], a, stride, v)
+					ReflectorProject(split[h:], a[h:], stride, v)
+					for c := range w {
+						if split[c] != w[c] {
+							t.Fatalf("%s ReflectorProject %dx%d: column split changed w[%d]", variant, rows, cols, c)
+						}
+					}
+				}
+				ReflectorUpdate(a, stride, v, w, tau)
+				for i := range a {
+					if !closeTo(a[i], want[i], tol*float64(cols+1)) {
+						t.Fatalf("%s ReflectorUpdate %dx%d element %d: %v want %v", variant, rows, cols, i, a[i], want[i])
+					}
+				}
+				// Row-split invariance of the elementwise update.
+				if rows > 1 {
+					b := append([]complex128(nil), a0...)
+					h := rows / 2
+					ReflectorUpdate(b, stride, v[:h], w, tau)
+					ReflectorUpdate(b[h*stride:], stride, v[h:], w, tau)
+					for i := range a {
+						if a[i] != b[i] {
+							t.Fatalf("%s ReflectorUpdate %dx%d: row split changed element %d", variant, rows, cols, i)
+						}
+					}
+				}
+				// H is an involution: applying it twice restores the block.
+				ReflectorProject(w, a, stride, v)
+				ReflectorUpdate(a, stride, v, w, tau)
+				for i := range a {
+					if !closeTo(a[i], a0[i], 1e-12*float64(rows+1)) {
+						t.Fatalf("%s reflector twice %dx%d: element %d not restored", variant, rows, cols, i)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestReflectorPassesSkipZeroRows pins the zero-coefficient contract of
+// both variants: a row whose reflector entry is zero is neither read by
+// the projection nor written by the update, so the NaN and Inf planted
+// there reach nothing else (0 * Inf would be NaN), in every position of
+// the assembly's row pairs and its odd tail.
+func TestReflectorPassesSkipZeroRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	const rows, cols, stride = 7, 5, 6
+	for _, zeros := range [][]int{{0}, {1}, {0, 1}, {2, 5}, {6}, {0, 1, 2, 3, 4, 5, 6}} {
+		a0 := Rand(rng, rows*stride).Data()
+		v := Rand(rng, rows).Data()
+		for _, i := range zeros {
+			v[i] = 0
+			for c := 0; c < cols; c++ {
+				a0[i*stride+c] = complex(math.Inf(1), math.NaN())
+			}
+		}
+		isZero := func(i int) bool { return v[i] == 0 }
+		kernelVariants(t, func(variant string) {
+			a := append([]complex128(nil), a0...)
+			w := make([]complex128, cols)
+			ReflectorProject(w, a, stride, v)
+			for c, x := range w {
+				if cmplx.IsNaN(x) || cmplx.IsInf(x) {
+					t.Fatalf("%s zeros %v: w[%d] = %v picked up a skipped row", variant, zeros, c, x)
+				}
+			}
+			ReflectorUpdate(a, stride, v, w, 0.5)
+			for i := 0; i < rows; i++ {
+				for c := 0; c < cols; c++ {
+					x := a[i*stride+c]
+					if finite := !cmplx.IsNaN(x) && !cmplx.IsInf(x); finite == isZero(i) {
+						t.Fatalf("%s zeros %v: row %d col %d = %v after the update", variant, zeros, i, c, x)
+					}
+				}
+			}
+		})
+	}
 }
