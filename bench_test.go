@@ -235,6 +235,26 @@ func BenchmarkFig13_EnergyMeasurement(b *testing.B) {
 	}
 }
 
+// BenchmarkExpectationCachedJ1J2 is the measurement half of the wall-clock
+// benchmark's ite_j1j2 operation in the tree: the cached J1-J2 energy of
+// a 4x4, r = 2 state prepared by 20 ITE steps, contracted at m = 4. The
+// tensors are a few hundred elements, so what it reports is allocation
+// and scheduling as much as arithmetic (DESIGN.md section 7).
+func BenchmarkExpectationCachedJ1J2(b *testing.B) {
+	obs := quantum.J1J2Heisenberg(4, 4, quantum.PaperJ1J2Params())
+	eng := backend.NewDense()
+	state := ite.PlusState(peps.ComputationalZeros(eng, 4, 4))
+	gates := obs.TrotterGates(complex(-0.05, 0))
+	for i := 0; i < 20; i++ {
+		state.ApplyCircuit(gates, peps.UpdateOptions{Rank: 2, Method: peps.UpdateQR, Normalize: true})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		state.EnergyPerSite(obs, peps.ExpectationOptions{M: 4, Strategy: implicitStrategy(int64(i)), UseCache: true})
+	}
+}
+
 // --- lattice task scheduler: worker-count scaling benchmarks ---
 //
 // These two benchmarks are the measured payoff of the lattice-level task

@@ -56,11 +56,10 @@ const (
 	planKindSym   byte = 's'
 )
 
-// planKey encodes the plan kind, the spec, and every operand shape.
-// Ranks are implied by the spec, so flat dimension lists with separators
-// are unambiguous.
-func planKey(kind byte, spec string, ops []*tensor.Dense) string {
-	buf := make([]byte, 0, 2+len(spec)+16*len(ops))
+// appendPlanKey appends to buf the encoding of the plan kind, the spec,
+// and every operand shape. Ranks are implied by the spec, so flat
+// dimension lists with separators are unambiguous.
+func appendPlanKey(buf []byte, kind byte, spec string, ops []*tensor.Dense) []byte {
 	buf = append(buf, kind, '!')
 	buf = append(buf, spec...)
 	for _, op := range ops {
@@ -70,17 +69,20 @@ func planKey(kind byte, spec string, ops []*tensor.Dense) string {
 			buf = append(buf, ',')
 		}
 	}
-	return string(buf)
+	return buf
 }
 
 // cachedPlan returns the compiled plan for (kind, spec, operand
 // shapes), compiling and inserting it on a miss. Compilation happens
 // outside the lock; concurrent first calls may compile twice, and the
-// incumbent entry wins so all callers share one scratch pool.
+// incumbent entry wins so all callers share one list of scratch frames.
 func cachedPlan(kind byte, spec string, ops []*tensor.Dense) (*Plan, error) {
-	key := planKey(kind, spec, ops)
+	// The key is built on the stack and a hit looks it up without
+	// materializing the string: a replay allocates nothing for it.
+	var arr [128]byte
+	kb := appendPlanKey(arr[:0], kind, spec, ops)
 	planMu.Lock()
-	if el, ok := planIndex[key]; ok {
+	if el, ok := planIndex[string(kb)]; ok {
 		planLRU.MoveToFront(el)
 		p := el.Value.(*planEntry).plan
 		planMu.Unlock()
@@ -91,6 +93,7 @@ func cachedPlan(kind byte, spec string, ops []*tensor.Dense) (*Plan, error) {
 	planMu.Unlock()
 	planMisses.Add(1)
 	obsPlanMisses.Add(1)
+	key := string(kb)
 
 	shapes := make([][]int, len(ops))
 	for i, op := range ops {
@@ -125,7 +128,8 @@ func PlanCacheStats() (hits, misses, evictions int64) {
 	return planHits.Load(), planMisses.Load(), planEvictions.Load()
 }
 
-// ResetPlanCache empties the plan cache and zeroes its statistics.
+// ResetPlanCache empties the plan cache — and every cache registered
+// with OnResetPlanCache — and zeroes its statistics.
 func ResetPlanCache() {
 	planMu.Lock()
 	planLRU.Init()
@@ -134,7 +138,20 @@ func ResetPlanCache() {
 	planHits.Store(0)
 	planMisses.Store(0)
 	planEvictions.Store(0)
+	for _, f := range resetHooks {
+		f()
+	}
 }
+
+// resetHooks is filled from package init functions only.
+var resetHooks []func()
+
+// OnResetPlanCache registers f to run on every ResetPlanCache. Packages
+// that memoize artifacts compiled per (spec, operand shapes) alongside
+// the plans — einsumsvd's split specs — register their own reset here
+// from an init function, so that one call returns the process to a cold
+// start.
+func OnResetPlanCache(f func()) { resetHooks = append(resetHooks, f) }
 
 // SetPlanCacheSize bounds the cache to n plans (minimum 1), evicting
 // least-recently-used entries immediately if the cache is over the new

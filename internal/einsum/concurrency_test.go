@@ -11,7 +11,7 @@ import (
 // TestConcurrentSamePlanReplays stresses the satellite guarantee for the
 // lattice scheduler: many goroutines replaying the *same* cached plan
 // (identical spec and shapes, distinct operand data) must each get a
-// frame of their own from the per-plan frame pool and produce the same
+// frame of their own from the per-plan free list and produce the same
 // result as a sequential evaluation.
 func TestConcurrentSamePlanReplays(t *testing.T) {
 	const spec = "abc,cd,dbe->ae"

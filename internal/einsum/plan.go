@@ -3,9 +3,9 @@ package einsum
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"gokoala/internal/obs"
+	"gokoala/internal/pool"
 	"gokoala/internal/tensor"
 )
 
@@ -16,7 +16,7 @@ import (
 // never on element values. Compiling resolves them once into a linear
 // tape of primitive ops over value slots; replaying the tape skips the
 // parsing, path search, and layout bookkeeping entirely and runs its
-// intermediates on pooled scratch buffers.
+// intermediates on recycled scratch frames.
 
 type opKind uint8
 
@@ -39,8 +39,9 @@ type planOp struct {
 	shape []int // logical shape of the result
 	size  int   // product of shape
 
-	perm []int // opTranspose: result axis i is src axis perm[i]
-	move int   // opTranspose: elements reported to OnMove (0 = leading axis kept)
+	perm      []int // opTranspose: result axis i is src axis perm[i]
+	srcStride []int // opTranspose: stride of result axis i in the source layout
+	move      int   // opTranspose: elements reported to OnMove (0 = leading axis kept)
 
 	keptN, dropN int // opRowSum: src viewed as keptN x dropN
 
@@ -58,6 +59,10 @@ type planOp struct {
 	// result views without allocating: [batch, m, k], [batch, k, n],
 	// and [batch, m, n] for opGEMM and opGEMMScatter.
 	aShape, bShape, cShape []int
+
+	// buf is the frame buffer the result is written to (see
+	// assignBuffers); unused for the op producing the plan's output.
+	buf int
 }
 
 // Plan is a contraction compiled for one (spec, operand shapes) pair:
@@ -73,16 +78,19 @@ type Plan struct {
 	out      int // slot holding the final result
 	cost     Cost
 
-	// scratch recycles one buffer per intermediate op across executions
-	// (the op producing the output slot is excluded — its buffer escapes
-	// to the caller). The overwrite-mode kernels never read their
+	// frames recycles the per-execution scratch (see frame) across
+	// executions. The overwrite-mode kernels never read their
 	// destination, so recycled buffers are reused dirty: replaying a plan
 	// allocates no intermediate storage and creates no garbage beyond the
-	// result itself.
-	scratch sync.Pool
-	// frameBytes is the byte size of one scratch frame (all intermediate
-	// buffers) and outBytes the size of the escaping result buffer; both
-	// feed the obs live/peak scratch-memory account per execution.
+	// result itself. The list is bounded and lives exactly as long as the
+	// plan: a garbage collection does not empty it, eviction from the
+	// plan cache frees it (DESIGN.md section 7).
+	frames pool.FreeList[*frame]
+	// bufSizes is the element count of each buffer of a scratch frame,
+	// frameBytes their total byte size and outBytes the size of the
+	// escaping result buffer; the last two feed the obs live/peak
+	// scratch-memory account per execution.
+	bufSizes   []int
 	frameBytes int64
 	outBytes   int64
 }
@@ -420,48 +428,151 @@ func offsetTable(dims, strides []int) []int {
 	return out
 }
 
-// frame is the pooled per-execution scratch: one buffer per
-// intermediate op, pre-wrapped in a Dense of the op's result shape so
-// replays allocate nothing for intermediates. Slots of the output op
-// stay nil: its buffer escapes to the caller and must be fresh every
-// execution.
+// frame is the recycled per-execution scratch: the value-slot table, the
+// intermediate buffers with a Dense of every intermediate op's result
+// shape pre-wrapped around its buffer, and the three matrix-view headers
+// of every GEMM op, so a replay allocates nothing but its result. Entries
+// of the output op stay nil: its buffer escapes to the caller and must be
+// fresh every execution.
 type frame struct {
-	bufs [][]complex128
-	outs []*tensor.Dense
+	vals    []*tensor.Dense // slot table: operands, then every op result
+	bufs    [][]complex128  // one per entry of Plan.bufSizes
+	outs    []*tensor.Dense // per op: its result, wrapped around bufs[op.buf]
+	a, b, c []*tensor.Dense // GEMM operand and result views, rebound per execution
 }
 
-// initScratch precomputes the executor's GEMM view shapes and wires the
-// scratch pool to produce frames.
+// initScratch precomputes the executor's transpose strides and GEMM view
+// shapes, and lays out the scratch frame.
 func (p *Plan) initScratch() {
 	for i := range p.ops {
 		op := &p.ops[i]
+		if op.kind == opTranspose {
+			// Result axis i has extent shape[i] and is source axis perm[i].
+			srcShape := make([]int, len(op.perm))
+			for ax, q := range op.perm {
+				srcShape[q] = op.shape[ax]
+			}
+			ss := tensor.Strides(srcShape)
+			op.srcStride = make([]int, len(op.perm))
+			for ax, q := range op.perm {
+				op.srcStride[ax] = ss[q]
+			}
+		}
 		if op.kind == opGEMM || op.kind == opGEMMScatter {
 			op.aShape = []int{op.batch, op.m, op.k}
 			op.bShape = []int{op.batch, op.k, op.n}
 			op.cShape = []int{op.batch, op.m, op.n}
 		}
-		if op.dst != p.out {
-			p.frameBytes += int64(op.size) * bytesPerElem
-		} else {
+		if op.dst == p.out {
 			p.outBytes = int64(op.size) * bytesPerElem
 		}
 	}
-	ops := p.ops
-	out := p.out
-	p.scratch.New = func() any {
-		f := &frame{
-			bufs: make([][]complex128, len(ops)),
-			outs: make([]*tensor.Dense, len(ops)),
+	p.assignBuffers()
+}
+
+// assignBuffers maps every intermediate result to a frame buffer, giving
+// a buffer to a new result once the one it held has been read for the
+// last time. The tape is in SSA form, but few of its values are alive at
+// once — a transpose is dead after the GEMM that consumes it — so a
+// frame needs about the three largest intermediates, not all of them.
+// Frames are retained (workers+1 per cached plan), so their size is what
+// the plan cache costs in memory: on the two-layer IBMPS row absorptions
+// at m = 16, r = 4 this takes the frames from 5.1-6.1 MB to 3.0-4.3 MB.
+// The assignment
+// depends on the tape alone, and the kernels overwrite their whole
+// destination, so results do not depend on it.
+func (p *Plan) assignBuffers() {
+	lastRead := make([]int, p.nSlots) // index of the last op reading each slot
+	for i, op := range p.ops {
+		lastRead[op.src] = i
+		if op.kind == opGEMM || op.kind == opGEMMScatter {
+			lastRead[op.src2] = i
 		}
-		for i := range ops {
-			if op := &ops[i]; op.dst != out {
-				buf := make([]complex128, op.size)
-				f.bufs[i] = buf
-				f.outs[i] = tensor.Wrap(buf, op.shape)
+	}
+	var freeAfter []int // per buffer: the last op reading the value it holds
+	for i := range p.ops {
+		op := &p.ops[i]
+		if op.dst == p.out {
+			continue
+		}
+		// Among the buffers whose value died before this op (one read by
+		// this op is still needed while it runs): the smallest that fits;
+		// failing that the largest, which grows; failing that a new one.
+		fit, largest := -1, -1
+		for b, size := range p.bufSizes {
+			if freeAfter[b] >= i {
+				continue
+			}
+			if size >= op.size && (fit < 0 || size < p.bufSizes[fit]) {
+				fit = b
+			}
+			if largest < 0 || size > p.bufSizes[largest] {
+				largest = b
 			}
 		}
-		return f
+		best := fit
+		if best < 0 {
+			best = largest
+		}
+		if best < 0 {
+			best = len(p.bufSizes)
+			p.bufSizes = append(p.bufSizes, 0)
+			freeAfter = append(freeAfter, 0)
+		}
+		p.bufSizes[best] = max(p.bufSizes[best], op.size)
+		freeAfter[best] = lastRead[op.dst]
+		op.buf = best
 	}
+	for _, size := range p.bufSizes {
+		p.frameBytes += int64(size) * bytesPerElem
+	}
+}
+
+// newFrame allocates one execution's scratch.
+func (p *Plan) newFrame() *frame {
+	n := len(p.ops)
+	views := make([]*tensor.Dense, 4*n)
+	f := &frame{
+		vals: make([]*tensor.Dense, p.nSlots),
+		bufs: make([][]complex128, len(p.bufSizes)),
+		outs: views[:n:n],
+		a:    views[n : 2*n : 2*n],
+		b:    views[2*n : 3*n : 3*n],
+		c:    views[3*n:],
+	}
+	for b, size := range p.bufSizes {
+		f.bufs[b] = make([]complex128, size)
+	}
+	for i := range p.ops {
+		op := &p.ops[i]
+		if op.dst != p.out {
+			f.outs[i] = tensor.Wrap(f.bufs[op.buf][:op.size], op.shape)
+		}
+		if op.kind == opGEMM || op.kind == opGEMMScatter {
+			f.a[i] = tensor.View(op.aShape)
+			f.b[i] = tensor.View(op.bShape)
+		}
+		if op.kind == opGEMM { // the scatter kernel takes its destination raw
+			f.c[i] = tensor.View(op.cShape)
+		}
+	}
+	return f
+}
+
+// release detaches everything the frame borrowed for one execution —
+// the operands, the escaping result, whatever a replacement GEMM kernel
+// returned — so a parked frame keeps only its own buffers alive, and
+// returns it to the plan's free list.
+func (p *Plan) release(f *frame) {
+	clear(f.vals)
+	for _, views := range [][]*tensor.Dense{f.a, f.b, f.c} {
+		for _, v := range views {
+			if v != nil {
+				v.Rebind(nil)
+			}
+		}
+	}
+	p.frames.Put(f)
 }
 
 // Spec returns the einsum spec the plan was compiled from.
@@ -486,27 +597,30 @@ func (p *Plan) execute(ops []*tensor.Dense, h Hooks) (*tensor.Dense, error) {
 			return nil, fmt.Errorf("einsum %q: operand %d has shape %v, plan compiled for %v", p.spec, i, op.Shape(), p.inShapes[i])
 		}
 	}
-	vals := make([]*tensor.Dense, p.nSlots)
-	copy(vals, ops)
 	// Working-set accounting: the checked-out scratch frame plus the
 	// result under construction count as live until the frame returns to
-	// the pool (the result's share is released then too — past that
+	// the free list (the result's share is released then too — past that
 	// point it is the caller's tensor, not executor scratch).
 	obs.TrackBytes(p.frameBytes + p.outBytes)
-	fr := p.scratch.Get().(*frame)
+	fr, ok := p.frames.Get()
+	if !ok {
+		fr = p.newFrame()
+	}
+	vals := fr.vals
+	copy(vals, ops)
 	for i := range p.ops {
 		op := &p.ops[i]
-		buf, w := fr.bufs[i], fr.outs[i]
+		w := fr.outs[i]
 		if op.dst == p.out {
-			buf = make([]complex128, op.size)
-			w = tensor.Wrap(buf, op.shape)
+			w = tensor.Wrap(make([]complex128, op.size), op.shape)
 		}
+		buf := w.Data()
 		switch op.kind {
 		case opTranspose:
 			if op.move > 0 && h.OnMove != nil {
 				h.OnMove(op.move)
 			}
-			tensor.TransposeInto(w, vals[op.src], op.perm...)
+			tensor.CopyPermuted(buf, vals[op.src].Data(), op.shape, op.srcStride)
 			vals[op.dst] = w
 		case opRowSum:
 			src := vals[op.src].Data()
@@ -524,14 +638,17 @@ func (p *Plan) execute(ops []*tensor.Dense, h Hooks) (*tensor.Dense, error) {
 			if h.OnGEMM != nil {
 				h.OnGEMM(op.batch, op.m, op.n, op.k)
 			}
-			va := tensor.Wrap(vals[op.src].Data(), op.aShape)
-			vb := tensor.Wrap(vals[op.src2].Data(), op.bShape)
+			va, vb := fr.a[i], fr.b[i]
+			va.Rebind(vals[op.src].Data())
+			vb.Rebind(vals[op.src2].Data())
 			if h.GEMM != nil {
 				// Replacement kernels (the simulated distributed backend)
-				// allocate their own result; the pooled buffer sits idle.
+				// allocate their own result; the frame's buffer sits idle.
 				vals[op.dst] = h.GEMM(va, vb).Reshape(op.shape...)
 			} else {
-				tensor.BatchMatMulInto(tensor.Wrap(buf, op.cShape), va, vb)
+				vc := fr.c[i]
+				vc.Rebind(buf)
+				tensor.BatchMatMulInto(vc, va, vb)
 				vals[op.dst] = w
 			}
 		case opGEMMScatter:
@@ -541,8 +658,9 @@ func (p *Plan) execute(ops []*tensor.Dense, h Hooks) (*tensor.Dense, error) {
 			if op.move > 0 && h.OnMove != nil {
 				h.OnMove(op.move)
 			}
-			va := tensor.Wrap(vals[op.src].Data(), op.aShape)
-			vb := tensor.Wrap(vals[op.src2].Data(), op.bShape)
+			va, vb := fr.a[i], fr.b[i]
+			va.Rebind(vals[op.src].Data())
+			vb.Rebind(vals[op.src2].Data())
 			if h.GEMM != nil {
 				// Replacement kernels produce the dense product; apply the
 				// absorbed transpose as a separate pass.
@@ -559,7 +677,7 @@ func (p *Plan) execute(ops []*tensor.Dense, h Hooks) (*tensor.Dense, error) {
 		}
 	}
 	out := vals[p.out]
-	p.scratch.Put(fr)
+	p.release(fr)
 	obs.TrackBytes(-(p.frameBytes + p.outBytes))
 	if h.OnContract != nil {
 		h.OnContract(p.spec, p.cost)

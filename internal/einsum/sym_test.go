@@ -165,17 +165,17 @@ func TestSymStatsAccumulate(t *testing.T) {
 // different keys, so neither can serve the other's compiled plan.
 func TestPlanKeyKindSeparation(t *testing.T) {
 	ops := []*tensor.Dense{tensor.New(2, 3), tensor.New(3, 4)}
-	kd := planKey(planKindDense, "ik,kj->ij", ops)
-	ks := planKey(planKindSym, "ik,kj->ij", ops)
+	kd := string(appendPlanKey(nil, planKindDense, "ik,kj->ij", ops))
+	ks := string(appendPlanKey(nil, planKindSym, "ik,kj->ij", ops))
 	if kd == ks {
 		t.Fatalf("dense and sym plan keys collide: %q", kd)
 	}
 	// Both kinds must still distinguish specs and shapes as before.
-	if planKey(planKindSym, "ik,kj->ij", ops) != ks {
+	if string(appendPlanKey(nil, planKindSym, "ik,kj->ij", ops)) != ks {
 		t.Fatal("sym plan key not deterministic")
 	}
 	ops2 := []*tensor.Dense{tensor.New(2, 5), tensor.New(5, 4)}
-	if planKey(planKindSym, "ik,kj->ij", ops2) == ks {
+	if string(appendPlanKey(nil, planKindSym, "ik,kj->ij", ops2)) == ks {
 		t.Fatal("sym plan key ignores operand shapes")
 	}
 }

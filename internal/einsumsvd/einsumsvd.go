@@ -27,9 +27,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
+	"sync"
 
 	"gokoala/internal/backend"
+	"gokoala/internal/einsum"
 	"gokoala/internal/health"
 	"gokoala/internal/linalg"
 	"gokoala/internal/tensor"
@@ -112,7 +115,9 @@ func MustFactor(st Strategy, eng backend.Engine, spec string, rank int, ops ...*
 	return a, b, s
 }
 
-// splitSpec holds the parsed form of a split spec.
+// splitSpec holds the compiled form of a split spec for one set of
+// operand shapes. It is shared by every Factor call of that signature
+// and never modified after parse returns.
 type splitSpec struct {
 	inputs     string // comma-joined input subscripts
 	out1, out2 string // output subscripts including the new letter
@@ -122,8 +127,12 @@ type splitSpec struct {
 	colDims    []int
 	rowSize    int
 	colSize    int
-	dims       map[byte]int
-	free       byte // an unused letter for block-vector columns
+
+	// The einsum specs a factorization evaluates: the full contraction to
+	// the row|col matricization (explicit path), and the network applied
+	// to a block vector and its adjoint (implicit path), the block's
+	// column index carried by a letter the spec leaves free.
+	fullSpec, applySpec, adjSpec string
 }
 
 func shapesOf(ops []*tensor.Dense) [][]int {
@@ -134,9 +143,56 @@ func shapesOf(ops []*tensor.Dense) [][]int {
 	return shapes
 }
 
-// parse works from operand shapes alone so the dense and block-sparse
-// factor paths share it; for block-sparse operands the shapes are the
-// per-leg total dimensions.
+// splitSpecs memoizes parse per (spec, operand shapes), the key the
+// einsum plan cache uses for the contractions a split spec lowers to: a
+// boundary sweep factors the same handful of signatures thousands of
+// times. It is emptied with the plan cache (einsum.ResetPlanCache) and
+// when it reaches the plan cache's default size.
+var (
+	splitMu    sync.Mutex
+	splitSpecs = map[string]*splitSpec{}
+)
+
+func init() {
+	einsum.OnResetPlanCache(func() {
+		splitMu.Lock()
+		clear(splitSpecs)
+		splitMu.Unlock()
+	})
+}
+
+// compiled returns the split spec for the given operand shapes from the
+// cache, parsing it on a miss. Dense and block-sparse Factor share it;
+// for block-sparse operands the shapes are the per-leg total dimensions.
+func compiled(spec string, shapes [][]int) (*splitSpec, error) {
+	var arr [128]byte
+	key := append(arr[:0], spec...)
+	for _, sh := range shapes {
+		key = append(key, '|')
+		for _, d := range sh {
+			key = append(strconv.AppendInt(key, int64(d), 10), ',')
+		}
+	}
+	splitMu.Lock()
+	p, ok := splitSpecs[string(key)]
+	splitMu.Unlock()
+	if ok {
+		return p, nil
+	}
+	p, err := parse(spec, shapes)
+	if err != nil {
+		return nil, err
+	}
+	splitMu.Lock()
+	if len(splitSpecs) >= einsum.DefaultPlanCacheSize {
+		clear(splitSpecs)
+	}
+	splitSpecs[string(key)] = p
+	splitMu.Unlock()
+	return p, nil
+}
+
+// parse works from operand shapes alone (see compiled).
 func parse(spec string, shapes [][]int) (*splitSpec, error) {
 	arrow := strings.Index(spec, "->")
 	if arrow < 0 {
@@ -207,7 +263,7 @@ func parse(spec string, shapes [][]int) (*splitSpec, error) {
 		}
 	}
 
-	p := &splitSpec{inputs: inputs, out1: out1, out2: out2, newLetter: newLetter, row: row, col: col, dims: dims}
+	p := &splitSpec{inputs: inputs, out1: out1, out2: out2, newLetter: newLetter, row: row, col: col}
 	p.rowSize, p.colSize = 1, 1
 	for i := 0; i < len(row); i++ {
 		d := dims[row[i]]
@@ -224,15 +280,20 @@ func parse(spec string, shapes [][]int) (*splitSpec, error) {
 	for c := range inLetters {
 		used[c] = true
 	}
+	var free byte
 	for _, c := range []byte("zyxwvutsrqponmlkjihgfedcbaZYXWVUTSRQPONMLKJIHGFEDCBA") {
 		if !used[c] {
-			p.free = c
+			free = c
 			break
 		}
 	}
-	if p.free == 0 {
+	if free == 0 {
 		return nil, fmt.Errorf("no free subscript letter available")
 	}
+	z := string(free)
+	p.fullSpec = inputs + "->" + row + col
+	p.applySpec = inputs + "," + col + z + "->" + row + z
+	p.adjSpec = inputs + "," + row + z + "->" + col + z
 	return p, nil
 }
 
@@ -311,57 +372,64 @@ func permuteTo(t *tensor.Dense, from, to string) *tensor.Dense {
 
 // Factor implements Strategy for the explicit contract-then-SVD path.
 func (e Explicit) Factor(eng backend.Engine, spec string, rank int, ops ...*tensor.Dense) (*tensor.Dense, *tensor.Dense, []float64, error) {
-	p, err := parse(spec, shapesOf(ops))
+	p, err := compiled(spec, shapesOf(ops))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	full := eng.Einsum(p.inputs+"->"+p.row+p.col, ops...)
+	full := eng.Einsum(p.fullSpec, ops...)
 	u, s, v := eng.TruncSVD(full.Reshape(p.rowSize, p.colSize), rank)
 	a, b := p.assemble(eng, u, s, v, e.Mode)
 	return a, b, s, nil
 }
 
 // networkOperator applies the uncontracted network as a linear operator
-// from the col index group to the row index group.
+// from the col index group to the row index group. It serves one
+// factorization, from one goroutine: args is the operand list of its
+// contractions with the last slot left for the block vector of the call
+// at hand.
 type networkOperator struct {
-	eng                backend.Engine
-	p                  *splitSpec
-	ops                []*tensor.Dense
-	conjOps            []*tensor.Dense
-	applySpec, adjSpec string
+	eng  backend.Engine
+	p    *splitSpec
+	args []*tensor.Dense
 }
 
 func newNetworkOperator(eng backend.Engine, p *splitSpec, ops []*tensor.Dense) *networkOperator {
-	conj := make([]*tensor.Dense, len(ops))
-	for i, o := range ops {
-		conj[i] = o.Conj()
-	}
-	z := string(p.free)
-	return &networkOperator{
-		eng:       eng,
-		p:         p,
-		ops:       ops,
-		conjOps:   conj,
-		applySpec: p.inputs + "," + p.col + z + "->" + p.row + z,
-		adjSpec:   p.inputs + "," + p.row + z + "->" + p.col + z,
-	}
+	o := &networkOperator{eng: eng, p: p, args: make([]*tensor.Dense, len(ops)+1)}
+	copy(o.args, ops)
+	return o
 }
 
 func (o *networkOperator) Rows() int { return o.p.rowSize }
 func (o *networkOperator) Cols() int { return o.p.colSize }
 
-func (o *networkOperator) Apply(q *tensor.Dense) *tensor.Dense {
+// apply contracts the network into the block vector q through contract,
+// the engine's einsum or a reduced-precision one. The adjoint runs the
+// transposed contraction on the same operands, A* q = conj(A^T conj(q)):
+// conjugating the block and the result is two passes over a block
+// vector, where conjugating the network copied every operand of every
+// factorization — the bra sites a boundary sweep had conjugated once
+// already included.
+func (o *networkOperator) apply(contract func(string, ...*tensor.Dense) *tensor.Dense, adjoint bool, q *tensor.Dense) *tensor.Dense {
+	spec, in, out := o.p.applySpec, o.p.colDims, o.p.rowSize
+	if adjoint {
+		spec, in, out = o.p.adjSpec, o.p.rowDims, o.p.colSize
+		q = q.Conj()
+	}
 	r := q.Dim(1)
-	qt := q.Reshape(append(append([]int{}, o.p.colDims...), r)...)
-	out := o.eng.Einsum(o.applySpec, append(append([]*tensor.Dense{}, o.ops...), qt)...)
-	return out.Reshape(o.p.rowSize, r)
+	o.args[len(o.args)-1] = q.Reshape(append(in[:len(in):len(in)], r)...)
+	res := contract(spec, o.args...).Reshape(out, r)
+	if adjoint {
+		res.ConjInPlace() // the contraction's own result, shared with no one
+	}
+	return res
+}
+
+func (o *networkOperator) Apply(q *tensor.Dense) *tensor.Dense {
+	return o.apply(o.eng.Einsum, false, q)
 }
 
 func (o *networkOperator) ApplyAdjoint(pv *tensor.Dense) *tensor.Dense {
-	r := pv.Dim(1)
-	pt := pv.Reshape(append(append([]int{}, o.p.rowDims...), r)...)
-	out := o.eng.Einsum(o.adjSpec, append(append([]*tensor.Dense{}, o.conjOps...), pt)...)
-	return out.Reshape(o.p.colSize, r)
+	return o.apply(o.eng.Einsum, true, pv)
 }
 
 // mixedEinsum routes a contraction through the engine's complex64 GEMM
@@ -379,17 +447,11 @@ func (o *networkOperator) mixedEinsum(spec string, ops ...*tensor.Dense) *tensor
 // the same network contractions as Apply/ApplyAdjoint with the batched
 // GEMMs in complex64.
 func (o *networkOperator) ApplySketch(q *tensor.Dense) *tensor.Dense {
-	r := q.Dim(1)
-	qt := q.Reshape(append(append([]int{}, o.p.colDims...), r)...)
-	out := o.mixedEinsum(o.applySpec, append(append([]*tensor.Dense{}, o.ops...), qt)...)
-	return out.Reshape(o.p.rowSize, r)
+	return o.apply(o.mixedEinsum, false, q)
 }
 
 func (o *networkOperator) ApplyAdjointSketch(pv *tensor.Dense) *tensor.Dense {
-	r := pv.Dim(1)
-	pt := pv.Reshape(append(append([]int{}, o.p.rowDims...), r)...)
-	out := o.mixedEinsum(o.adjSpec, append(append([]*tensor.Dense{}, o.conjOps...), pt)...)
-	return out.Reshape(o.p.colSize, r)
+	return o.apply(o.mixedEinsum, true, pv)
 }
 
 var (
@@ -402,7 +464,7 @@ func (ir ImplicitRand) Factor(eng backend.Engine, spec string, rank int, ops ...
 	if ir.Rng == nil {
 		return nil, nil, nil, fmt.Errorf("ImplicitRand requires a Rng")
 	}
-	p, err := parse(spec, shapesOf(ops))
+	p, err := compiled(spec, shapesOf(ops))
 	if err != nil {
 		return nil, nil, nil, err
 	}

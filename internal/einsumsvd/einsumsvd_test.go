@@ -3,6 +3,7 @@ package einsumsvd
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"gokoala/internal/backend"
@@ -215,5 +216,57 @@ func TestSigmaNoneFactorsAreIsometries(t *testing.T) {
 	back := tensor.MatMul(tensor.MatMul(am, sd), bm)
 	if !tensor.AllClose(back, m, 1e-10, 1e-10) {
 		t.Fatal("U diag(s) V* != M")
+	}
+}
+
+// TestCompiledSplitSpecCache checks the split-spec memo: one compiled
+// form per (spec, operand shapes), carrying the three derived einsum
+// specs; a parse error is returned every time and never cached; and
+// einsum.ResetPlanCache, which the benchmark calls before every pass,
+// returns it to a cold start together with the plans. Eight goroutines
+// look the same signatures up at once for the race detector.
+func TestCompiledSplitSpecCache(t *testing.T) {
+	const spec = "gbcC,buUe,ucdrp,UCDRp->gdDn|nerR"
+	small := [][]int{{4, 4, 2, 2}, {4, 2, 2, 4}, {2, 2, 2, 2, 2}, {2, 2, 2, 2, 2}}
+	large := [][]int{{8, 8, 3, 3}, {8, 3, 3, 8}, {3, 3, 3, 3, 2}, {3, 3, 3, 3, 2}}
+	einsum.ResetPlanCache()
+	p, err := compiled(spec, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.fullSpec != "gbcC,buUe,ucdrp,UCDRp->gdDerR" ||
+		p.applySpec != "gbcC,buUe,ucdrp,UCDRp,erRz->gdDz" ||
+		p.adjSpec != "gbcC,buUe,ucdrp,UCDRp,gdDz->erRz" {
+		t.Fatalf("derived specs %q, %q, %q", p.fullSpec, p.applySpec, p.adjSpec)
+	}
+	if p.rowSize != 16 || p.colSize != 16 {
+		t.Fatalf("matricization %d x %d, want 16 x 16", p.rowSize, p.colSize)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if q, err := compiled(spec, small); err != nil || q != p {
+					t.Errorf("lookup %d returned %p, %v; want the cached %p", i, q, err, p)
+					return
+				}
+				if q, err := compiled(spec, large); err != nil || q == p || q.rowSize != 72 {
+					t.Errorf("other shapes returned %p (rowSize %d), %v", q, q.rowSize, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < 2; i++ {
+		if _, err := compiled("ab,bc->ac", [][]int{{2, 2}, {2, 2}}); err == nil {
+			t.Fatal("spec without a split output compiled")
+		}
+	}
+	einsum.ResetPlanCache()
+	if q, _ := compiled(spec, small); q == p {
+		t.Fatal("ResetPlanCache left the split-spec memo warm")
 	}
 }

@@ -22,7 +22,7 @@ func SymFactor(eng backend.SymEngine, mode SigmaMode, spec string, rank int, ops
 	for i, op := range ops {
 		shapes[i] = op.Shape()
 	}
-	p, err := parse(spec, shapes)
+	p, err := compiled(spec, shapes)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -31,7 +31,7 @@ func SymFactor(eng backend.SymEngine, mode SigmaMode, spec string, rank int, ops
 			err = fmt.Errorf("einsumsvd: sym factor %q: %v", spec, r)
 		}
 	}()
-	full := eng.SymEinsum(p.inputs+"->"+p.row+p.col, ops...)
+	full := eng.SymEinsum(p.fullSpec, ops...)
 	u, s, vh := eng.SymSVDSplit(full, len(p.row), rank)
 	k := len(s)
 	var uScale, vScale []float64

@@ -34,19 +34,31 @@ func QRFlops(m, n int) int64 {
 // complex Householder reflections. Q is m-by-k with orthonormal columns and
 // R is k-by-n upper triangular, where k = min(m, n).
 func QR(a *tensor.Dense) (q, r *tensor.Dense) {
+	return qr(a, true)
+}
+
+// qr is QR; without wantR it returns only Q (r is nil), which is all an
+// orthonormalization keeps.
+func qr(a *tensor.Dense, wantR bool) (q, r *tensor.Dense) {
 	if a.Rank() != 2 {
 		panic(fmt.Sprintf("linalg: QR requires a matrix, got rank %d", a.Rank()))
 	}
 	m, n := a.Dim(0), a.Dim(1)
 	tensor.AddFlops(QRFlops(m, n))
-	h := newHouseholder(a.Clone().Data(), m, n)
-	h.factor(false)
+	ws := getWorkspace()
+	defer ws.release()
+	work := ws.c.take(m * n)
+	copy(work, a.Data())
+	h := newHouseholder(ws, work, m, n)
+	h.factor(ws, false)
 	k := h.k
 
-	r = tensor.New(k, n)
-	rd := r.Data()
-	for i := 0; i < k; i++ {
-		copy(rd[i*n+i:(i+1)*n], h.a[i*n+i:(i+1)*n])
+	if wantR {
+		r = tensor.New(k, n)
+		rd := r.Data()
+		for i := 0; i < k; i++ {
+			copy(rd[i*n+i:(i+1)*n], h.a[i*n+i:(i+1)*n])
+		}
 	}
 
 	// Build thin Q by applying the reflectors in reverse to the first k
@@ -63,7 +75,7 @@ func QR(a *tensor.Dense) (q, r *tensor.Dense) {
 // householder is one Householder factorization held in place: the
 // matrix being reduced (R in its upper triangle once factored), every
 // reflector in one slab, and the row workspace of the reflector passes,
-// all allocated once per factorization.
+// all taken from the factorization's workspace.
 type householder struct {
 	m, n, k int
 	a       []complex128 // m-by-n row-major, overwritten
@@ -75,11 +87,13 @@ type householder struct {
 
 // newHouseholder prepares the factorization of the m-by-n row-major
 // matrix a, which factor overwrites.
-func newHouseholder(a []complex128, m, n int) *householder {
+func newHouseholder(ws *workspace, a []complex128, m, n int) householder {
 	k := min(m, n)
 	nv := k*m - k*(k-1)/2
-	slab := make([]complex128, nv+n)
-	return &householder{m: m, n: n, k: k, a: a, v: slab[:nv], w: slab[nv:], tau: make([]float64, k)}
+	slab := ws.c.take(nv + n)
+	tau := ws.f.take(k)
+	clear(tau)
+	return householder{m: m, n: n, k: k, a: a, v: slab[:nv], w: slab[nv:], tau: tau}
 }
 
 // factor reduces h.a to upper-triangular form, H_{k-1} ... H_0 A = R or,
@@ -88,13 +102,14 @@ func newHouseholder(a []complex128, m, n int) *householder {
 // largest norm is swapped into place). The pivot choice is the first
 // maximum of a schedule-fixed scan, so the factorization is
 // deterministic.
-func (h *householder) factor(pivot bool) {
+func (h *householder) factor(ws *workspace, pivot bool) {
 	m, n := h.m, h.n
 	var vn1, vn2 []float64
 	if pivot {
-		h.perm = make([]int, n)
-		norms := make([]float64, 2*n)
+		h.perm = ws.n.take(n)
+		norms := ws.f.take(2 * n)
 		vn1, vn2 = norms[:n], norms[n:]
+		clear(vn1)
 		for i := 0; i < m; i++ {
 			for c, x := range h.a[i*n : (i+1)*n] {
 				vn1[c] += real(x)*real(x) + imag(x)*imag(x)

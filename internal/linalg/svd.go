@@ -112,13 +112,16 @@ func svdJacobi(a *tensor.Dense, precond bool) (u *tensor.Dense, s []float64, v *
 	// x holds the bn columns being orthogonalized (length l each), w the
 	// rotations accumulated on the identity (length bn each).
 	left, right := tensor.New(bm, bn), tensor.New(bn, bn)
-	var h *householder
+	var h householder // of the preconditioning QR
 	l := bm
 	if precond {
 		l = bn
 	}
-	slab := make([]complex128, bn*l+bn*bn)
+	ws := getWorkspace()
+	defer ws.release()
+	slab := ws.c.take(bn*l + bn*bn)
 	x, w := slab[:bn*l], slab[bn*l:]
+	clear(w)
 	if precond {
 		// The left factor's buffer is the QR working copy until R is out.
 		b := left.Data()
@@ -131,9 +134,10 @@ func svdJacobi(a *tensor.Dense, precond bool) (u *tensor.Dense, s []float64, v *
 		} else {
 			copy(b, ad)
 		}
-		h = newHouseholder(b, bm, bn)
-		h.factor(true)
+		h = newHouseholder(ws, b, bm, bn)
+		h.factor(ws, true)
 		// Column j of R* is the conjugated row j of R.
+		clear(x)
 		for j := 0; j < bn; j++ {
 			for i := j; i < bn; i++ {
 				x[j*bn+i] = cmplx.Conj(b[j*bn+i])
@@ -156,11 +160,11 @@ func svdJacobi(a *tensor.Dense, precond bool) (u *tensor.Dense, s []float64, v *
 		w[j*bn+j] = 1
 	}
 
-	rep = jacobiCols(x, l, w, bn)
+	rep = jacobiCols(ws, x, l, w, bn)
 
 	// Singular values are the column norms; sort descending.
-	norms := make([]float64, bn)
-	order := make([]int, bn)
+	norms := ws.f.take(bn)
+	order := ws.n.take(bn)
 	for j := range order {
 		order[j] = j
 		norms[j] = norm2(x[j*l : (j+1)*l])
@@ -171,7 +175,7 @@ func svdJacobi(a *tensor.Dense, precond bool) (u *tensor.Dense, s []float64, v *
 		s[c] = norms[j]
 	}
 
-	if h == nil {
+	if !precond {
 		writeUnitCols(left.Data(), bn, x, l, s, order, nil)
 		writeCols(right.Data(), bn, w, order)
 	} else {
@@ -188,7 +192,7 @@ func svdJacobi(a *tensor.Dense, precond bool) (u *tensor.Dense, s []float64, v *
 // jacobiCols makes the n columns of x (column j is x[j*l:(j+1)*l])
 // mutually orthogonal by one-sided Jacobi rotations and applies the same
 // rotations to the n length-n columns of w.
-func jacobiCols(x []complex128, l int, w []complex128, n int) (rep Report) {
+func jacobiCols(ws *workspace, x []complex128, l int, w []complex128, n int) (rep Report) {
 	const tol = 1e-14
 	// Round-robin tournament (circle method) pair ordering: each of the
 	// nc-1 rounds in a sweep pairs every column exactly once, so the
@@ -199,7 +203,7 @@ func jacobiCols(x []complex128, l int, w []complex128, n int) (rep Report) {
 	if nc%2 == 1 {
 		nc++ // odd column count: one slot sits out each round
 	}
-	pos := make([]int, nc)
+	pos := ws.n.take(nc)
 	for i := range pos {
 		pos[i] = i
 	}
@@ -208,7 +212,7 @@ func jacobiCols(x []complex128, l int, w []complex128, n int) (rep Report) {
 	// updated by every rotation (see rotatedNormSq), so a below-floor pair
 	// can be dismissed without reading its columns. An entry is never more
 	// than one rotation away from a computed value.
-	normSqs := make([]float64, n)
+	normSqs := ws.f.take(n)
 	for j := range normSqs {
 		normSqs[j] = normSq(x[j*l : (j+1)*l])
 	}
@@ -216,7 +220,8 @@ func jacobiCols(x []complex128, l int, w []complex128, n int) (rep Report) {
 	// last rotation. A pairing recurs every nc-1 rounds; if neither column
 	// has moved since the pair last met, its Gram triple is what it was
 	// when it passed the test then, and it passes again unread.
-	moved := make([]int, n)
+	moved := ws.n.take(n)
+	clear(moved)
 	// Columns with norm below eps times the largest column norm carry
 	// singular values beneath float64 relative accuracy; their partially
 	// underflowed Gram entries are inconsistent (the computed correlation

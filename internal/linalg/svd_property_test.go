@@ -239,8 +239,10 @@ func TestPivotedQRProperties(t *testing.T) {
 		}
 		for _, sc := range spectrumCases(rng, m, n) {
 			t.Run(fmt.Sprintf("%dx%d/%s", m, n, sc.name), func(t *testing.T) {
-				h := newHouseholder(sc.a.Clone().Data(), m, n)
-				h.factor(true)
+				ws := getWorkspace()
+				defer ws.release()
+				h := newHouseholder(ws, sc.a.Clone().Data(), m, n)
+				h.factor(ws, true)
 				r := tensor.New(n, n)
 				for i := 0; i < n; i++ {
 					copy(r.Data()[i*n+i:(i+1)*n], h.a[i*n+i:(i+1)*n])

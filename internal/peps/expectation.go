@@ -9,6 +9,7 @@ import (
 	"gokoala/internal/obs"
 	"gokoala/internal/pool"
 	"gokoala/internal/quantum"
+	"gokoala/internal/tensor"
 )
 
 // ExpectationOptions configures expectation-value evaluation.
@@ -59,38 +60,78 @@ func (p *PEPS) EnergyPerSite(h *quantum.Observable, opts ExpectationOptions) flo
 	return real(p.Expectation(h, opts)) / float64(p.Rows*p.Cols)
 }
 
-// applyTermExact applies one observable term to a shallow clone of the
-// state without truncation, returning |phi> = op |psi> (coefficient not
-// included).
-func (p *PEPS) applyTermExact(t quantum.Term) *PEPS {
+// productTerm is one product of on-site operators, coef * ops[0] (x)
+// ops[1], acting on sites[k] with ops[k]: the form every observable term
+// is evaluated in. A product acts on physical legs alone, so |phi> =
+// ops |psi> has the bonds of |psi> and the strips below contract it at
+// the state's own bond dimension.
+type productTerm struct {
+	coef  complex128
+	sites []int
+	ops   []*tensor.Dense
+}
+
+// productTerms expands the observable into on-site products: a one-site
+// term is one already, a two-site term becomes the K <= 4 products of its
+// operator-Schmidt decomposition (K = 1 for the Pauli products of
+// J1J2Heisenberg and TransverseFieldIsing, 3 for the U(1) pair
+// operator). Applying the 4x4 operator itself with an untruncated direct
+// update would instead return the shared bond at min(rows, cols) of the
+// two-site matricization — 16 on an r = 2 bond, all but K*r of them zero
+// singular values — and non-adjacent sites would pay that three times
+// over through SWAP routing. Terms sharing one operator tensor share its
+// decomposition.
+func productTerms(h *quantum.Observable) []productTerm {
+	type schmidt struct{ as, bs []*tensor.Dense }
+	memo := map[*tensor.Dense]schmidt{}
+	prods := make([]productTerm, 0, len(h.Terms))
+	for _, t := range h.Terms {
+		switch len(t.Sites) {
+		case 1:
+			prods = append(prods, productTerm{t.Coef, t.Sites, []*tensor.Dense{t.Op}})
+		case 2:
+			d, ok := memo[t.Op]
+			if !ok {
+				d.as, d.bs = quantum.OperatorSchmidt(t.Op)
+				memo[t.Op] = d
+			}
+			for k := range d.as {
+				prods = append(prods, productTerm{t.Coef, t.Sites, []*tensor.Dense{d.as[k], d.bs[k]}})
+			}
+		default:
+			panic("peps: unsupported term arity")
+		}
+	}
+	return prods
+}
+
+// applyProduct applies one product term to a shallow clone of the state,
+// returning |phi> = ops |psi> (coefficient not included).
+func (p *PEPS) applyProduct(t productTerm) *PEPS {
 	phi := p.ShallowClone()
-	switch len(t.Sites) {
-	case 1:
-		phi.ApplyOneSite(t.Op, t.Sites[0])
-	case 2:
-		phi.ApplyTwoSite(t.Op, t.Sites[0], t.Sites[1], UpdateOptions{Rank: 0, Method: UpdateDirect})
-	default:
-		panic("peps: unsupported term arity")
+	for k, op := range t.ops {
+		phi.ApplyOneSite(op, t.sites[k])
 	}
 	return phi
 }
 
-// expectationDirect evaluates each term with a full two-layer contraction
-// (paper equation 5 without caching): one contraction for the norm and
-// one per term. The norm and all terms are independent lattice tasks;
-// they run concurrently with per-task forked strategies and a fixed-order
-// reduction, so results are bit-identical for every worker count.
+// expectationDirect evaluates each product term with a full two-layer
+// contraction (paper equation 5 without caching): one contraction for
+// the norm and one per product. The norm and all products are
+// independent lattice tasks; they run concurrently with per-task forked
+// strategies and a fixed-order reduction, so results are bit-identical
+// for every worker count.
 func (p *PEPS) expectationDirect(h *quantum.Observable, opts ExpectationOptions) complex128 {
-	n := len(h.Terms)
+	prods := productTerms(h)
+	n := len(prods)
 	sts := einsumsvd.Fork(opts.Strategy, 1+n)
 	if sts == nil {
 		opt := TwoLayerBMPS{M: opts.M, Strategy: opts.Strategy}
 		den := p.Inner(p, opt)
 		health.CheckValue("peps.norm", den)
 		var num complex128
-		for _, t := range h.Terms {
-			phi := p.applyTermExact(t)
-			num += t.Coef * p.Inner(phi, opt)
+		for _, t := range prods {
+			num += t.coef * p.Inner(p.applyProduct(t), opt)
 		}
 		return num / den
 	}
@@ -98,11 +139,10 @@ func (p *PEPS) expectationDirect(h *quantum.Observable, opts ExpectationOptions)
 	vals := make([]complex128, n)
 	g := pool.NewGroup("peps.expectation.terms")
 	g.Go(func() { den = p.Inner(p, TwoLayerBMPS{M: opts.M, Strategy: sts[0]}) })
-	for i, t := range h.Terms {
+	for i, t := range prods {
 		i, t := i, t
 		g.Go(func() {
-			phi := p.applyTermExact(t)
-			vals[i] = t.Coef * p.Inner(phi, TwoLayerBMPS{M: opts.M, Strategy: sts[1+i]})
+			vals[i] = t.coef * p.Inner(p.applyProduct(t), TwoLayerBMPS{M: opts.M, Strategy: sts[1+i]})
 		})
 	}
 	g.Wait()
@@ -115,74 +155,71 @@ func (p *PEPS) expectationDirect(h *quantum.Observable, opts ExpectationOptions)
 }
 
 // expectationCached implements paper section IV-B: two full sweeps build
-// the per-row top and bottom environments of <psi|psi>, and every local
-// term is evaluated by contracting only the strip of rows it touches.
-// The two environment sweeps run concurrently, and so do the per-term
-// strip contractions; see expectationDirect for the determinism scheme.
+// the per-row top and bottom environments of <psi|psi>, and every
+// product term is evaluated by contracting only the strip of rows it
+// touches. The two environment sweeps run concurrently, and so do the
+// per-product strip contractions; see expectationDirect for the
+// determinism scheme.
 func (p *PEPS) expectationCached(h *quantum.Observable, opts ExpectationOptions) complex128 {
-	n := len(h.Terms)
+	prods := productTerms(h)
+	n := len(prods)
 	sts := einsumsvd.Fork(opts.Strategy, 2+n)
-	if sts == nil {
-		return p.expectationCachedSeq(h, opts)
-	}
 	var tops, bottoms []boundary
-	eg := pool.NewGroup("peps.expectation.env")
-	eg.Go(func() { tops = p.TopEnvironments(opts.M, sts[0]) })
-	eg.Go(func() { bottoms = p.BottomEnvironments(opts.M, sts[1]) })
-	eg.Wait()
-
+	if sts == nil {
+		// Strategies that cannot be forked for concurrent use evaluate
+		// everything in sequence on the one strategy.
+		tops = p.TopEnvironments(opts.M, opts.Strategy)
+		bottoms = p.BottomEnvironments(opts.M, opts.Strategy)
+	} else {
+		eg := pool.NewGroup("peps.expectation.env")
+		eg.Go(func() { tops = p.TopEnvironments(opts.M, sts[0]) })
+		eg.Go(func() { bottoms = p.BottomEnvironments(opts.M, sts[1]) })
+		eg.Wait()
+	}
 	den := closeBoundaries(p.eng, tops[0], bottoms[0])
 	health.CheckValue("peps.norm", den)
+
+	// Every strip has the same bra: conjugate the state once, not once
+	// per product and row.
+	bra := make([][]*tensor.Dense, p.Rows)
+	for r := range bra {
+		bra[r] = conjRow(p.row(r))
+	}
+	strip := func(t productTerm, st einsumsvd.Strategy) complex128 {
+		rlo, rhi := p.termRowSpan(t.sites)
+		phi := p.applyProduct(t)
+		s := tops[rlo]
+		for r := rlo; r <= rhi; r++ {
+			s = applyTwoLayerRow(p.eng, s, bra[r], phi.row(r), opts.M, st)
+		}
+		return t.coef * closeBoundaries(p.eng, s, bottoms[rhi+1])
+	}
+	var num complex128
+	if sts == nil {
+		for _, t := range prods {
+			num += strip(t, opts.Strategy)
+		}
+		return num / den
+	}
 	vals := make([]complex128, n)
 	tg := pool.NewGroup("peps.expectation.terms")
-	for i, t := range h.Terms {
+	for i, t := range prods {
 		i, t := i, t
-		st := sts[2+i]
-		tg.Go(func() {
-			rlo, rhi := p.termRowSpan(t)
-			phi := p.applyTermExact(t)
-			s := tops[rlo]
-			for r := rlo; r <= rhi; r++ {
-				s = applyTwoLayerRow(p.eng, s, p.row(r), phi.row(r), opts.M, st)
-			}
-			vals[i] = t.Coef * closeBoundaries(p.eng, s, bottoms[rhi+1])
-		})
+		tg.Go(func() { vals[i] = strip(t, sts[2+i]) })
 	}
 	tg.Wait()
-	var num complex128
 	for _, v := range vals {
 		num += v
 	}
 	return num / den
 }
 
-// expectationCachedSeq is the sequential cached evaluation, the fallback
-// for strategies that cannot be forked for concurrent use.
-func (p *PEPS) expectationCachedSeq(h *quantum.Observable, opts ExpectationOptions) complex128 {
-	tops := p.TopEnvironments(opts.M, opts.Strategy)
-	bottoms := p.BottomEnvironments(opts.M, opts.Strategy)
-
-	den := closeBoundaries(p.eng, tops[0], bottoms[0])
-	health.CheckValue("peps.norm", den)
-	var num complex128
-	for _, t := range h.Terms {
-		rlo, rhi := p.termRowSpan(t)
-		phi := p.applyTermExact(t)
-		s := tops[rlo]
-		for r := rlo; r <= rhi; r++ {
-			s = applyTwoLayerRow(p.eng, s, p.row(r), phi.row(r), opts.M, opts.Strategy)
-		}
-		num += t.Coef * closeBoundaries(p.eng, s, bottoms[rhi+1])
-	}
-	return num / den
-}
-
-// termRowSpan returns the inclusive row range a term's exact application
-// modifies, including any SWAP routing for non-adjacent two-site terms
-// (the routing of applyRouted stays within the rows of the two sites).
-func (p *PEPS) termRowSpan(t quantum.Term) (int, int) {
+// termRowSpan returns the inclusive row range spanned by a term's sites:
+// the rows in which op |psi> differs from |psi>, hence the strip a cached
+// evaluation has to rebuild.
+func (p *PEPS) termRowSpan(sites []int) (int, int) {
 	rlo, rhi := p.Rows, -1
-	for _, s := range t.Sites {
+	for _, s := range sites {
 		r, _ := p.Coords(s)
 		if r < rlo {
 			rlo = r

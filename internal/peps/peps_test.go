@@ -312,8 +312,7 @@ func TestExpectationMatchesStateVector(t *testing.T) {
 }
 
 func TestExpectationWithDiagonalTerms(t *testing.T) {
-	// J1-J2 includes diagonal two-site terms that exercise SWAP routing
-	// inside expectation evaluation.
+	// J1-J2 includes diagonal two-site terms, whose sites share no bond.
 	rng := rand.New(rand.NewSource(15))
 	rows, cols := 2, 2
 	ps := ComputationalZeros(eng, rows, cols)
@@ -349,6 +348,80 @@ func TestCachedAndDirectExpectationAgreeOnLargerLattice(t *testing.T) {
 	implicitVal := p.Expectation(obs, ExpectationOptions{M: 64, Strategy: implicit(4), UseCache: true})
 	if cmplx.Abs(direct-implicitVal) > 1e-5*(1+cmplx.Abs(direct)) {
 		t.Fatalf("explicit %v vs implicit %v", direct, implicitVal)
+	}
+}
+
+// stateVectorOf reads every amplitude of a small PEPS with an exact
+// contraction.
+func stateVectorOf(p *PEPS) *statevector.State {
+	n := p.Rows * p.Cols
+	sv := statevector.Zeros(n)
+	for i, bits := range allBits(n) {
+		sv.Amp[i] = p.Amplitude(bits, Exact{})
+	}
+	return sv
+}
+
+// TestExpectationProductFormMatchesStateVector checks the product-form
+// term evaluation against the state vector at full contraction rank, on
+// 3x3 so that every kind of term occurs away from the lattice edge:
+// K = 1 Pauli products on adjacent and diagonal sites with all three
+// fields, and the K = 3 pair operators of the U(1) Hamiltonian.
+func TestExpectationProductFormMatchesStateVector(t *testing.T) {
+	p := testState(3, 3, 2)
+	sv := stateVectorOf(p)
+	norm2 := sv.Norm() * sv.Norm()
+	j1j2 := quantum.J1J2Params{J1x: 1, J1y: 0.9, J1z: 1.1, J2x: 0.5, J2y: 0.4, J2z: 0.6, Hx: 0.2, Hy: -0.3, Hz: 0.1}
+	for _, tc := range []struct {
+		name string
+		h    *quantum.Observable
+	}{
+		{"tfi", quantum.TransverseFieldIsing(3, 3, -1, -3.5)},
+		{"j1j2", quantum.J1J2Heisenberg(3, 3, j1j2)},
+		{"j1j2-u1", quantum.J1J2HeisenbergU1(3, 3, quantum.PaperJ1J2ParamsU1())},
+	} {
+		want := sv.Expectation(tc.h) / complex(norm2, 0)
+		for _, cached := range []bool{false, true} {
+			got := p.Expectation(tc.h, ExpectationOptions{M: 64, Strategy: explicit(), UseCache: cached})
+			if d := cmplx.Abs(got - want); d > 1e-10*(1+cmplx.Abs(want)) {
+				t.Errorf("%s cached=%v: expectation %v, state vector %v (diff %g)", tc.name, cached, got, want, d)
+			}
+		}
+	}
+}
+
+// TestProductTermsKeepBonds pins what the product form is for: applying
+// any term of an observable — adjacent, diagonal, distant, entangling —
+// leaves every bond of the state at its dimension (the exact direct
+// update it replaced returned a 16-dimensional bond from r = 2, and
+// routed non-adjacent terms through three of them), and leaves the state
+// itself untouched.
+func TestProductTermsKeepBonds(t *testing.T) {
+	p := testState(3, 3, 2)
+	before := p.Clone()
+	h := quantum.J1J2Heisenberg(3, 3, quantum.PaperJ1J2Params()).
+		AddTerm(1, quantum.CZ(), p.SiteIndex(0, 0), p.SiteIndex(2, 2)).
+		AddTerm(1, quantum.SWAP(), p.SiteIndex(1, 1), p.SiteIndex(1, 2)).
+		AddTerm(1, quantum.ISwap(), p.SiteIndex(2, 1), p.SiteIndex(0, 1))
+	prods := productTerms(h)
+	if len(prods) < len(h.Terms)+3+3 { // SWAP and iSWAP have rank 4
+		t.Fatalf("%d products for %d terms", len(prods), len(h.Terms))
+	}
+	for _, pt := range prods {
+		phi := p.applyProduct(pt)
+		if phi.MaxBond() != p.MaxBond() {
+			t.Fatalf("term on sites %v: max bond %d, state has %d", pt.sites, phi.MaxBond(), p.MaxBond())
+		}
+		for r := 0; r < p.Rows; r++ {
+			for c := 0; c < p.Cols; c++ {
+				if !tensor.SameShape(phi.Site(r, c).Shape(), p.Site(r, c).Shape()) {
+					t.Fatalf("term on sites %v changed the shape of site (%d,%d)", pt.sites, r, c)
+				}
+				if !equalData(p.Site(r, c), before.Site(r, c)) {
+					t.Fatalf("term on sites %v modified the state at (%d,%d)", pt.sites, r, c)
+				}
+			}
+		}
 	}
 }
 

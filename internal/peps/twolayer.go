@@ -40,29 +40,34 @@ func (b boundary) maxBond() int {
 	return m
 }
 
+// conjRow returns the conjugated site tensors of one bra row, the form
+// applyTwoLayerRow takes the bra layer in. The per-column conjugates are
+// independent, so they fan out across the pool.
+func conjRow(row []*tensor.Dense) []*tensor.Dense {
+	conjs := make([]*tensor.Dense, len(row))
+	pool.Tasks("twolayer.conj", len(row), func(c int) { conjs[c] = row[c].Conj() })
+	return conjs
+}
+
 // applyTwoLayerRow absorbs one row of the <bra|ket> network into the
 // boundary from above, truncating bonds to m with the given einsumsvd
 // strategy via a zip-up sweep (the two-layer generalization of paper
-// Algorithm 3). braRow tensors are conjugated internally; both rows use
-// the site axis order [u, l, d, r, p].
+// Algorithm 3). braConj holds the bra row already conjugated (conjRow),
+// so a caller absorbing one bra row under many kets conjugates it once;
+// both rows use the site axis order [u, l, d, r, p].
 //
 // With an ImplicitRand strategy the per-column refactorization applies
 // the {carry, boundary site, conj(bra), ket} network as an implicit
 // operator — the bra and ket sites are never contracted into an r^2-bond
 // MPO tensor, realizing the two-layer IBMPS costs of paper Table II.
-func applyTwoLayerRow(eng backend.Engine, s boundary, braRow, ketRow []*tensor.Dense, m int, st einsumsvd.Strategy) boundary {
+func applyTwoLayerRow(eng backend.Engine, s boundary, braConj, ketRow []*tensor.Dense, m int, st einsumsvd.Strategy) boundary {
 	sp := obs.Start("twolayer.row").SetInt("boundary_bond", int64(s.maxBond()))
 	defer sp.End()
 	cols := len(s)
 	out := make(boundary, cols)
-	// The per-column bra conjugates are independent of the zip-up carry
-	// chain, so they fan out across the pool before the sweep.
-	conjs := make([]*tensor.Dense, cols)
-	pool.Tasks("twolayer.conj", cols, func(c int) { conjs[c] = braRow[c].Conj() })
-	conj := func(c int) *tensor.Dense { return conjs[c] }
 
 	if cols == 1 {
-		v := eng.Einsum("buUe,ucdrp,UCDRp->dD", s[0], conj(0), ketRow[0])
+		v := eng.Einsum("buUe,ucdrp,UCDRp->dD", s[0], braConj[0], ketRow[0])
 		sh := v.Shape()
 		out[0] = v.Reshape(1, sh[0], sh[1], 1)
 		return out
@@ -71,19 +76,19 @@ func applyTwoLayerRow(eng backend.Engine, s boundary, braRow, ketRow []*tensor.D
 	// First column: boundary bonds (b of the boundary site, c/C of the
 	// layer sites) have dimension 1 and are summed away inside the spec.
 	site, carry, _ := einsumsvd.MustFactor(st, eng,
-		"buUe,ucdrp,UCDRp->dDn|nerR", m, s[0], conj(0), ketRow[0])
+		"buUe,ucdrp,UCDRp->dDn|nerR", m, s[0], braConj[0], ketRow[0])
 	sh := site.Shape()
 	out[0] = site.Reshape(1, sh[0], sh[1], sh[2])
 
 	for c := 1; c < cols-1; c++ {
 		site, carry, _ = einsumsvd.MustFactor(st, eng,
-			"gbcC,buUe,ucdrp,UCDRp->gdDn|nerR", m, carry, s[c], conj(c), ketRow[c])
+			"gbcC,buUe,ucdrp,UCDRp->gdDn|nerR", m, carry, s[c], braConj[c], ketRow[c])
 		out[c] = site
 	}
 
 	// Last column: right boundary bonds are dimension 1.
 	last := cols - 1
-	v := eng.Einsum("gbcC,buUe,ucdrp,UCDRp->gdD", carry, s[last], conj(last), ketRow[last])
+	v := eng.Einsum("gbcC,buUe,ucdrp,UCDRp->gdD", carry, s[last], braConj[last], ketRow[last])
 	sh = v.Shape()
 	out[last] = v.Reshape(sh[0], sh[1], sh[2], 1)
 	return out
@@ -129,13 +134,13 @@ func innerTwoLayer(bra, ket *PEPS, opt TwoLayerBMPS) complex128 {
 		g.Go(func() {
 			top = trivialBoundary(bra.Cols)
 			for r := 0; r < mid; r++ {
-				top = applyTwoLayerRow(eng, top, bra.row(r), ket.row(r), opt.M, sts[0])
+				top = applyTwoLayerRow(eng, top, conjRow(bra.row(r)), ket.row(r), opt.M, sts[0])
 			}
 		})
 		g.Go(func() {
 			bottom = trivialBoundary(bra.Cols)
 			for r := 0; r < bra.Rows-mid; r++ {
-				bottom = applyTwoLayerRow(eng, bottom, fb.row(r), fk.row(r), opt.M, sts[1])
+				bottom = applyTwoLayerRow(eng, bottom, conjRow(fb.row(r)), fk.row(r), opt.M, sts[1])
 			}
 		})
 		g.Wait()
@@ -144,7 +149,7 @@ func innerTwoLayer(bra, ket *PEPS, opt TwoLayerBMPS) complex128 {
 
 	s := trivialBoundary(bra.Cols)
 	for r := 0; r < bra.Rows; r++ {
-		s = applyTwoLayerRow(eng, s, bra.row(r), ket.row(r), opt.M, opt.Strategy)
+		s = applyTwoLayerRow(eng, s, conjRow(bra.row(r)), ket.row(r), opt.M, opt.Strategy)
 	}
 	v := closeBoundaries(eng, s, trivialBoundary(bra.Cols))
 	return v * scale
@@ -163,7 +168,7 @@ func (p *PEPS) topEnvironments(m int, st einsumsvd.Strategy) []boundary {
 	tops := make([]boundary, p.Rows+1)
 	tops[0] = trivialBoundary(p.Cols)
 	for r := 0; r < p.Rows; r++ {
-		tops[r+1] = applyTwoLayerRow(p.eng, tops[r], p.row(r), p.row(r), m, st)
+		tops[r+1] = applyTwoLayerRow(p.eng, tops[r], conjRow(p.row(r)), p.row(r), m, st)
 	}
 	return tops
 }

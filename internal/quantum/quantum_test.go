@@ -343,3 +343,43 @@ func gateDense(g TrotterGate, n int) *tensor.Dense {
 	}
 	return out
 }
+
+// TestOperatorSchmidt checks the product form the PEPS expectation
+// evaluates two-site terms in: sum_k A_k (x) B_k reproduces the operator
+// to rounding, with the operator-Schmidt rank each model relies on.
+func TestOperatorSchmidt(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	hermitian := tensor.Rand(rng, 4, 4)
+	hermitian = hermitian.Add(hermitian.Conj().Transpose(1, 0))
+	u1 := J1J2HeisenbergU1(1, 2, PaperJ1J2ParamsU1()).Terms[0].Op // jxy (XX + YY) + jz ZZ
+	for _, tc := range []struct {
+		name string
+		op   *tensor.Dense
+		k    int // expected rank; -1 = any
+	}{
+		{"XX", tensor.Kron(X(), X()), 1},
+		{"YY", tensor.Kron(Y(), Y()), 1},
+		{"ZZ", tensor.Kron(Z(), Z()), 1},
+		{"SWAP", SWAP(), 4},
+		{"U1-pair", u1, 3},
+		{"hermitian", hermitian, -1},
+		{"non-hermitian", tensor.Rand(rng, 4, 4), -1},
+		{"rank-4-tensor", Gate4(CX()), 2},
+		{"zero", tensor.New(4, 4), 0},
+	} {
+		as, bs := OperatorSchmidt(tc.op)
+		if len(as) != len(bs) || len(as) > 4 {
+			t.Fatalf("%s: %d left and %d right factors", tc.name, len(as), len(bs))
+		}
+		if tc.k >= 0 && len(as) != tc.k {
+			t.Errorf("%s: operator-Schmidt rank %d, want %d", tc.name, len(as), tc.k)
+		}
+		sum := tensor.New(4, 4)
+		for k := range as {
+			sum = sum.Add(tensor.Kron(as[k], bs[k]))
+		}
+		if d := sum.Sub(tc.op.Reshape(4, 4)).Norm(); d > 1e-14*(1+tc.op.Norm()) {
+			t.Errorf("%s: ||sum_k A_k (x) B_k - op|| = %g", tc.name, d)
+		}
+	}
+}

@@ -165,23 +165,34 @@ func batchGEMMMax(max int, c, a, b []complex128, bt, m, n, k int) {
 	// unprofitable no smaller chunk re-enables asm inside gemm either).
 	asm := useAsm() && asmGemmProfitable(m, n, k)
 	grain := int(65536/(int64(n)*int64(k))) + 1
-	pool.ForMax(max, bt*m, grain, func(lo, hi int) {
-		for r := lo; r < hi; {
-			t, i := r/m, r%m
-			rows := min(m-i, hi-r)
-			co := c[(t*m+i)*n : (t*m+i+rows)*n]
-			ao := a[(t*m+i)*k : (t*m+i+rows)*k]
-			bo := b[t*k*n : (t+1)*k*n]
-			if asm {
-				flopCount.Add(int64(rows) * int64(n) * int64(k))
-				obsGEMMAsm.Add(1)
-				gemmAsm(co, ao, bo, rows, n, k)
-			} else {
-				gemm(co, ao, bo, rows, n, k)
-			}
-			r += rows
+	if bt*m <= grain {
+		// One chunk, which the pool would run inline anyway: call it
+		// directly, so the small multiplies that dominate a boundary sweep
+		// neither allocate a closure nor consult the pool.
+		gemmRows(c, a, b, m, n, k, asm, 0, bt*m)
+		return
+	}
+	pool.ForMax(max, bt*m, grain, func(lo, hi int) { gemmRows(c, a, b, m, n, k, asm, lo, hi) })
+}
+
+// gemmRows computes output rows [lo, hi) of the bt*m rows of a batched
+// multiply (see batchGEMMMax for the asm decision).
+func gemmRows(c, a, b []complex128, m, n, k int, asm bool, lo, hi int) {
+	for r := lo; r < hi; {
+		t, i := r/m, r%m
+		rows := min(m-i, hi-r)
+		co := c[(t*m+i)*n : (t*m+i+rows)*n]
+		ao := a[(t*m+i)*k : (t*m+i+rows)*k]
+		bo := b[t*k*n : (t+1)*k*n]
+		if asm {
+			flopCount.Add(int64(rows) * int64(n) * int64(k))
+			obsGEMMAsm.Add(1)
+			gemmAsm(co, ao, bo, rows, n, k)
+		} else {
+			gemm(co, ao, bo, rows, n, k)
 		}
-	})
+		r += rows
+	}
 }
 
 // gemm computes C = A@B for row-major C (m x n), A (m x k), B (k x n).
@@ -474,124 +485,140 @@ func BatchMatMulScatter(dst []complex128, a, b *Dense, bMap, iMap, jMap []int) {
 	// One kernel decision per call, shared by every worker, so a row's
 	// arithmetic never depends on which worker ran it.
 	asm := useAsm() && n > 0
-	pool.For(bt*m, grain, func(lo, hi int) {
-		var row []complex128
-		if ka > 2 {
+	if bt*m <= grain {
+		// One chunk: run it here, without a closure (see batchGEMMMax).
+		scatterRows(dst, a, b, bMap, iMap, jMap, run4, irun4, asm, 0, bt*m)
+		return
+	}
+	pool.For(bt*m, grain, func(lo, hi int) { scatterRows(dst, a, b, bMap, iMap, jMap, run4, irun4, asm, lo, hi) })
+}
+
+// scatterRows computes rows [lo, hi) of the bt*m product rows of
+// BatchMatMulScatter and stores them through the offset tables.
+func scatterRows(dst []complex128, a, b *Dense, bMap, iMap, jMap []int, run4, irun4, asm bool, lo, hi int) {
+	m, ka, n := a.shape[1], a.shape[2], b.shape[2]
+	// The accumulation row of the general-k path; a short one stays on
+	// the stack.
+	var rowArr [32]complex128
+	var row []complex128
+	if ka > 2 {
+		if row = rowArr[:]; n > len(row) {
 			row = make([]complex128, n)
 		}
-		for r := lo; r < hi; r++ {
-			t, i := r/m, r%m
-			arow := a.data[r*ka : (r+1)*ka]
-			bb := b.data[t*ka*n : (t+1)*ka*n]
-			base := bMap[t] + iMap[i]
-			if ka <= 2 {
-				// Short contraction: compute and scatter in one pass.
-				b0 := bb[:n]
-				a0 := arow[0]
-				switch {
-				case ka == 2 && irun4 && i%4 == 0 && r+3 < hi:
-					// Four-row block: rows i..i+3 write the contiguous
-					// 16-element runs base+jMap[j] .. +15.
-					a1 := arow[1]
-					ar := a.data[(r+1)*ka : (r+4)*ka]
-					c0, c1 := ar[0], ar[1]
-					e0, e1 := ar[2], ar[3]
-					g0, g1 := ar[4], ar[5]
-					b1 := bb[n : 2*n][:len(b0)]
-					for j := 0; j+3 < len(b0); j += 4 {
-						v0, v1, v2, v3 := b0[j], b0[j+1], b0[j+2], b0[j+3]
-						w0, w1, w2, w3 := b1[j], b1[j+1], b1[j+2], b1[j+3]
-						d := dst[base+jMap[j]:]
-						_ = d[15]
-						d[0], d[1], d[2], d[3] = a0*v0+a1*w0, a0*v1+a1*w1, a0*v2+a1*w2, a0*v3+a1*w3
-						d[4], d[5], d[6], d[7] = c0*v0+c1*w0, c0*v1+c1*w1, c0*v2+c1*w2, c0*v3+c1*w3
-						d[8], d[9], d[10], d[11] = e0*v0+e1*w0, e0*v1+e1*w1, e0*v2+e1*w2, e0*v3+e1*w3
-						d[12], d[13], d[14], d[15] = g0*v0+g1*w0, g0*v1+g1*w1, g0*v2+g1*w2, g0*v3+g1*w3
-					}
-					r += 3
-				case ka == 2 && run4:
-					a1 := arow[1]
-					b1 := bb[n : 2*n][:len(b0)]
-					for j := 0; j+3 < len(b0); j += 4 {
-						d := dst[base+jMap[j]:]
-						_ = d[3]
-						d[0] = a0*b0[j] + a1*b1[j]
-						d[1] = a0*b0[j+1] + a1*b1[j+1]
-						d[2] = a0*b0[j+2] + a1*b1[j+2]
-						d[3] = a0*b0[j+3] + a1*b1[j+3]
-					}
-				case ka == 2:
-					a1 := arow[1]
-					b1 := bb[n : 2*n][:len(b0)]
-					for j, v := range b0 {
-						dst[base+jMap[j]] = a0*v + a1*b1[j]
-					}
-				case run4:
-					for j := 0; j+3 < len(b0); j += 4 {
-						d := dst[base+jMap[j]:]
-						_ = d[3]
-						d[0] = a0 * b0[j]
-						d[1] = a0 * b0[j+1]
-						d[2] = a0 * b0[j+2]
-						d[3] = a0 * b0[j+3]
-					}
-				default:
-					for j, v := range b0 {
-						dst[base+jMap[j]] = a0 * v
-					}
-				}
-				continue
-			}
-			// General k: accumulate the row in scratch with the same
-			// summation order as gemmSmall, then scatter it once. The
-			// axpy microkernels keep that order (one paired k-step per
-			// pass over the row), so both variants scatter identical
-			// reduction shapes.
-			if asm {
-				axpy2Asm(&row[0], &bb[0], &bb[n], n, arow[0], arow[1], true)
-				var l int
-				for l = 2; l+1 < ka; l += 2 {
-					axpy2Asm(&row[0], &bb[l*n], &bb[(l+1)*n], n, arow[l], arow[l+1], false)
-				}
-				if l < ka {
-					axpy1Asm(&row[0], &bb[l*n], n, arow[l])
-				}
-			} else {
-				b0 := bb[:n]
-				a0, a1 := arow[0], arow[1]
+		row = row[:n]
+	}
+	for r := lo; r < hi; r++ {
+		t, i := r/m, r%m
+		arow := a.data[r*ka : (r+1)*ka]
+		bb := b.data[t*ka*n : (t+1)*ka*n]
+		base := bMap[t] + iMap[i]
+		if ka <= 2 {
+			// Short contraction: compute and scatter in one pass.
+			b0 := bb[:n]
+			a0 := arow[0]
+			switch {
+			case ka == 2 && irun4 && i%4 == 0 && r+3 < hi:
+				// Four-row block: rows i..i+3 write the contiguous
+				// 16-element runs base+jMap[j] .. +15.
+				a1 := arow[1]
+				ar := a.data[(r+1)*ka : (r+4)*ka]
+				c0, c1 := ar[0], ar[1]
+				e0, e1 := ar[2], ar[3]
+				g0, g1 := ar[4], ar[5]
 				b1 := bb[n : 2*n][:len(b0)]
-				for j := range row {
-					row[j] = a0*b0[j] + a1*b1[j]
+				for j := 0; j+3 < len(b0); j += 4 {
+					v0, v1, v2, v3 := b0[j], b0[j+1], b0[j+2], b0[j+3]
+					w0, w1, w2, w3 := b1[j], b1[j+1], b1[j+2], b1[j+3]
+					d := dst[base+jMap[j]:]
+					_ = d[15]
+					d[0], d[1], d[2], d[3] = a0*v0+a1*w0, a0*v1+a1*w1, a0*v2+a1*w2, a0*v3+a1*w3
+					d[4], d[5], d[6], d[7] = c0*v0+c1*w0, c0*v1+c1*w1, c0*v2+c1*w2, c0*v3+c1*w3
+					d[8], d[9], d[10], d[11] = e0*v0+e1*w0, e0*v1+e1*w1, e0*v2+e1*w2, e0*v3+e1*w3
+					d[12], d[13], d[14], d[15] = g0*v0+g1*w0, g0*v1+g1*w1, g0*v2+g1*w2, g0*v3+g1*w3
 				}
-				var l int
-				for l = 2; l+1 < ka; l += 2 {
-					a0, a1 := arow[l], arow[l+1]
-					b0 := bb[l*n : (l+1)*n]
-					b1 := bb[(l+1)*n : (l+2)*n][:len(b0)]
-					for j := range row {
-						row[j] += a0*b0[j] + a1*b1[j]
-					}
+				r += 3
+			case ka == 2 && run4:
+				a1 := arow[1]
+				b1 := bb[n : 2*n][:len(b0)]
+				for j := 0; j+3 < len(b0); j += 4 {
+					d := dst[base+jMap[j]:]
+					_ = d[3]
+					d[0] = a0*b0[j] + a1*b1[j]
+					d[1] = a0*b0[j+1] + a1*b1[j+1]
+					d[2] = a0*b0[j+2] + a1*b1[j+2]
+					d[3] = a0*b0[j+3] + a1*b1[j+3]
 				}
-				if l < ka {
-					al := arow[l]
-					brow := bb[l*n : (l+1)*n]
-					for j := range row {
-						row[j] += al * brow[j]
-					}
+			case ka == 2:
+				a1 := arow[1]
+				b1 := bb[n : 2*n][:len(b0)]
+				for j, v := range b0 {
+					dst[base+jMap[j]] = a0*v + a1*b1[j]
+				}
+			case run4:
+				for j := 0; j+3 < len(b0); j += 4 {
+					d := dst[base+jMap[j]:]
+					_ = d[3]
+					d[0] = a0 * b0[j]
+					d[1] = a0 * b0[j+1]
+					d[2] = a0 * b0[j+2]
+					d[3] = a0 * b0[j+3]
+				}
+			default:
+				for j, v := range b0 {
+					dst[base+jMap[j]] = a0 * v
 				}
 			}
-			if run4 {
-				for j := 0; j+3 < len(row); j += 4 {
-					o := base + jMap[j]
-					dst[o], dst[o+1], dst[o+2], dst[o+3] = row[j], row[j+1], row[j+2], row[j+3]
+			continue
+		}
+		// General k: accumulate the row in scratch with the same
+		// summation order as gemmSmall, then scatter it once. The
+		// axpy microkernels keep that order (one paired k-step per
+		// pass over the row), so both variants scatter identical
+		// reduction shapes.
+		if asm {
+			axpy2Asm(&row[0], &bb[0], &bb[n], n, arow[0], arow[1], true)
+			var l int
+			for l = 2; l+1 < ka; l += 2 {
+				axpy2Asm(&row[0], &bb[l*n], &bb[(l+1)*n], n, arow[l], arow[l+1], false)
+			}
+			if l < ka {
+				axpy1Asm(&row[0], &bb[l*n], n, arow[l])
+			}
+		} else {
+			b0 := bb[:n]
+			a0, a1 := arow[0], arow[1]
+			b1 := bb[n : 2*n][:len(b0)]
+			for j := range row {
+				row[j] = a0*b0[j] + a1*b1[j]
+			}
+			var l int
+			for l = 2; l+1 < ka; l += 2 {
+				a0, a1 := arow[l], arow[l+1]
+				b0 := bb[l*n : (l+1)*n]
+				b1 := bb[(l+1)*n : (l+2)*n][:len(b0)]
+				for j := range row {
+					row[j] += a0*b0[j] + a1*b1[j]
 				}
-			} else {
-				for j, v := range row {
-					dst[base+jMap[j]] = v
+			}
+			if l < ka {
+				al := arow[l]
+				brow := bb[l*n : (l+1)*n]
+				for j := range row {
+					row[j] += al * brow[j]
 				}
 			}
 		}
-	})
+		if run4 {
+			for j := 0; j+3 < len(row); j += 4 {
+				o := base + jMap[j]
+				dst[o], dst[o+1], dst[o+2], dst[o+3] = row[j], row[j+1], row[j+2], row[j+3]
+			}
+		} else {
+			for j, v := range row {
+				dst[base+jMap[j]] = v
+			}
+		}
+	}
 }
 
 // MatVec returns the matrix-vector product a@x for a rank-2 a and rank-1 x.

@@ -40,7 +40,7 @@ func New(shape ...int) *Dense {
 func FromData(data []complex128, shape ...int) *Dense {
 	n := checkShape(shape)
 	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (size %d)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %s (size %d)", len(data), fmtInts(shape), n))
 	}
 	return &Dense{shape: append([]int(nil), shape...), data: data}
 }
@@ -55,6 +55,31 @@ func Wrap(data []complex128, shape []int) *Dense {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (size %d)", len(data), shape, n))
 	}
 	return &Dense{shape: shape, data: data}
+}
+
+// View returns a header of the given shape with no storage yet, and
+// Rebind points a header at storage of its size (nil detaches it again):
+// the reuse form of Wrap, for long-lived headers — the matrix views of a
+// recycled einsum plan frame — whose storage changes from call to call.
+// A detached tensor keeps nothing alive and must be rebound before any
+// other use; shape is used directly, as by Wrap.
+func View(shape []int) *Dense {
+	checkShape(shape)
+	return &Dense{shape: shape}
+}
+
+// Rebind: see View.
+func (t *Dense) Rebind(data []complex128) {
+	if data != nil {
+		n := 1
+		for _, d := range t.shape {
+			n *= d
+		}
+		if len(data) != n {
+			panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), t.shape))
+		}
+	}
+	t.data = data
 }
 
 // Scalar returns a rank-0 tensor holding v.
@@ -104,15 +129,21 @@ func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: invalid dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: invalid dimension %d in shape %s", d, fmtInts(shape)))
 		}
 		if n > (1<<62)/d {
-			panic(fmt.Sprintf("tensor: shape %v overflows", shape))
+			panic(fmt.Sprintf("tensor: shape %s overflows", fmtInts(shape)))
 		}
 		n *= d
 	}
 	return n
 }
+
+// fmtInts formats a shape or index for a panic message, from a copy:
+// handing the slice itself to fmt would make it escape, and every
+// variadic New(...), Reshape(...) and At(...) in the tree allocate its
+// argument list on the heap for the sake of an error path.
+func fmtInts(v []int) string { return fmt.Sprint(append([]int(nil), v...)) }
 
 // Shape returns the tensor's dimensions. The returned slice must not be
 // modified.
@@ -152,12 +183,12 @@ func Strides(shape []int) []int {
 // offset converts a multi-index to a flat offset.
 func (t *Dense) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v has wrong rank for shape %v", idx, t.shape))
+		panic(fmt.Sprintf("tensor: index %s has wrong rank for shape %v", fmtInts(idx), t.shape))
 	}
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
+			panic(fmt.Sprintf("tensor: index %s out of range for shape %v", fmtInts(idx), t.shape))
 		}
 		off = off*t.shape[i] + x
 	}
@@ -183,7 +214,7 @@ func (t *Dense) Item() complex128 {
 func (t *Dense) Reshape(shape ...int) *Dense {
 	n := checkShape(shape)
 	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape size %d to %v", len(t.data), shape))
+		panic(fmt.Sprintf("tensor: cannot reshape size %d to %s", len(t.data), fmtInts(shape)))
 	}
 	return &Dense{shape: append([]int(nil), shape...), data: t.data}
 }
@@ -223,8 +254,9 @@ func (t *Dense) Transpose(perm ...int) *Dense {
 // TransposeInto writes t's axis permutation into out: out axis i is t's
 // axis perm[i], and out must already have the permuted shape. out is
 // overwritten without being read, so it may be an uninitialized or
-// recycled buffer — the einsum plan executor runs its materializing
-// transposes on pooled scratch this way.
+// recycled buffer (the einsum plan executor runs its materializing
+// transposes on recycled scratch through CopyPermuted, the same kernel
+// on strides it has precomputed).
 func TransposeInto(out, t *Dense, perm ...int) {
 	r := len(t.shape)
 	if len(perm) != r {
@@ -252,7 +284,7 @@ func transposeInto(out, t *Dense, perm []int) {
 		}
 		srcStride[i] = oldStrides[p]
 	}
-	copyPermuted(out.data, t.data, out.shape, srcStride)
+	CopyPermuted(out.data, t.data, out.shape, srcStride)
 }
 
 // transposeGrain is the minimum element count a pool chunk of a
@@ -282,7 +314,11 @@ func copyPermutedSmall(dst, src []complex128, dims, srcStride []int) {
 	outer := dims[:r-2]
 	n0, n1 := dims[r-2], dims[r-1]
 	s0, s1 := srcStride[r-2], srcStride[r-1]
-	idx := make([]int, len(outer))
+	var idxArr [8]int // the odometer of any contraction a 10-letter spec produces, kept off the heap
+	idx := idxArr[:]
+	if len(outer) > len(idxArr) {
+		idx = make([]int, len(outer))
+	}
 	base := 0
 	di := 0
 	for {
@@ -312,7 +348,7 @@ func copyPermutedSmall(dst, src []complex128, dims, srcStride []int) {
 	}
 }
 
-// copyPermuted fills dst (row-major, shape dims) from src where the
+// CopyPermuted fills dst (row-major, shape dims) from src where the
 // source offset of dst multi-index x is sum_i x[i]*srcStride[i].
 //
 // The copy is organized for cache behavior on both sides: adjacent
@@ -322,7 +358,14 @@ func copyPermutedSmall(dst, src []complex128, dims, srcStride []int) {
 // (src-contiguous or closest to it), with a plain odometer over the
 // remaining axes. Work is split over the worker pool along the odometer
 // (or, for matrix-like shapes, along the tiling axis).
-func copyPermuted(dst, src []complex128, dims, srcStride []int) {
+//
+// It is the kernel under Transpose and TransposeInto, exported for
+// callers that hold the strides of a fixed permutation precomputed (the
+// einsum plan executor); dst is overwritten without being read.
+func CopyPermuted(dst, src []complex128, dims, srcStride []int) {
+	if len(dims) != len(srcStride) {
+		panic(fmt.Sprintf("tensor: CopyPermuted has %d dims but %d strides", len(dims), len(srcStride)))
+	}
 	if len(dst) < transposeSmall {
 		copyPermutedSmall(dst, src, dims, srcStride)
 		return
@@ -485,6 +528,13 @@ func (t *Dense) Conj() *Dense {
 		out.data[i] = cmplx.Conj(v)
 	}
 	return out
+}
+
+// ConjInPlace conjugates every element of t.
+func (t *Dense) ConjInPlace() {
+	for i, v := range t.data {
+		t.data[i] = cmplx.Conj(v)
+	}
 }
 
 // Scale returns alpha * t.
