@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check check-purego bench bench-smoke bench-sched bench-resume bench-compare telemetry-smoke sym-smoke dist-smoke clean
+.PHONY: all build test race vet check check-purego bench bench-smoke bench-sched bench-resume bench-compare bench-module telemetry-smoke sym-smoke dist-smoke clean
 
 all: check
 
@@ -122,6 +122,14 @@ bench-compare:
 	if [ $$status -eq 0 ]; then \
 		echo "bench-compare: gate missed an injected flops regression"; exit 1; fi; \
 	echo "bench-compare: baselines pass, injected regression caught (exit $$status)"
+
+# The wall-clock benchmark is a module of its own (benchmark/go.mod with
+# a replace onto this tree) that `go build ./...` here never sees, so a
+# root refactor can break its imports silently. Compile and vet it; its
+# tests take ~30 s and one of them is timing-sensitive, so they stay out
+# of the gate.
+bench-module:
+	cd benchmark && $(GO) vet ./...
 
 # Block-sparse acceptance smoke: run the sym suite (dense vs
 # block-sparse ITE at equal bond dimension) and require every model's

@@ -22,7 +22,7 @@ func sampleSymITE(t *testing.T) *ITECheckpoint {
 	if !ok {
 		t.Fatal("dual TFI gates must conserve parity")
 	}
-	st.ApplyCircuit(gates, peps.SymUpdateOptions{Rank: 2, Normalize: true})
+	st.ApplyCircuit(gates, peps.UpdateOptions{Rank: 2, Normalize: true})
 	return &ITECheckpoint{
 		Step:       5,
 		Seed:       42,

@@ -135,7 +135,7 @@ type splitSpec struct {
 	fullSpec, applySpec, adjSpec string
 }
 
-func shapesOf(ops []*tensor.Dense) [][]int {
+func shapesOf[T interface{ Shape() []int }](ops []T) [][]int {
 	shapes := make([][]int, len(ops))
 	for i, op := range ops {
 		shapes[i] = op.Shape()
@@ -297,25 +297,31 @@ func parse(spec string, shapes [][]int) (*splitSpec, error) {
 	return p, nil
 }
 
+// scales returns the per-bond-index factors the mode puts on the first
+// and on the second factor of a split with singular values s.
+func (mode SigmaMode) scales(s []float64) (uScale, vScale []float64) {
+	k := len(s)
+	switch mode {
+	case SigmaRight:
+		return ones(k), s
+	case SigmaLeft:
+		return s, ones(k)
+	case SigmaBoth:
+		root := make([]float64, k)
+		for i, x := range s {
+			root[i] = math.Sqrt(x)
+		}
+		return root, root
+	default: // SigmaNone
+		return ones(k), ones(k)
+	}
+}
+
 // assemble folds the U factor (rowSize x k) and the sigma-carrying V
 // factor into tensors shaped per out1/out2, applying the sigma mode.
 func (p *splitSpec) assemble(eng backend.Engine, u *tensor.Dense, s []float64, v *tensor.Dense, mode SigmaMode) (*tensor.Dense, *tensor.Dense) {
 	k := len(s)
-	var uScale, vScale []float64
-	switch mode {
-	case SigmaRight:
-		uScale, vScale = ones(k), s
-	case SigmaLeft:
-		uScale, vScale = s, ones(k)
-	case SigmaNone:
-		uScale, vScale = ones(k), ones(k)
-	case SigmaBoth:
-		uScale, vScale = make([]float64, k), make([]float64, k)
-		for i, x := range s {
-			r := math.Sqrt(x)
-			uScale[i], vScale[i] = r, r
-		}
-	}
+	uScale, vScale := mode.scales(s)
 	// A0[row..., k] = U * diag(uScale)
 	a0 := u.Clone()
 	ad := a0.Data()
@@ -355,7 +361,7 @@ func ones(k int) []float64 {
 
 // permuteTo transposes t (whose axes are labeled by from) into the axis
 // order given by to.
-func permuteTo(t *tensor.Dense, from, to string) *tensor.Dense {
+func permuteTo[T interface{ Transpose(perm ...int) T }](t T, from, to string) T {
 	if from == to {
 		return t
 	}

@@ -11,15 +11,6 @@ type Forker interface {
 	Fork(n int) []Strategy
 }
 
-// Fork splits st into n strategies safe for concurrent use, one per
-// lattice task. The split is deterministic: ImplicitRand draws one seed
-// per task from its parent Rng, in task order, on the calling goroutine,
-// so the per-task random streams depend only on the parent stream's
-// position — never on scheduling — and parallel lattice algorithms stay
-// bit-identical across worker counts. A nil or stateless strategy
-// (Explicit) forks into shared copies. Fork returns nil for unknown
-// stateful strategies, signaling the caller to fall back to a
-// sequential path.
 // Reseed returns a copy of st whose random stream restarts from seed;
 // stateless strategies come back unchanged. Callers that reseed at known
 // boundaries (ite.Evolve reseeds per measurement step) make their random
@@ -34,6 +25,15 @@ func Reseed(st Strategy, seed int64) Strategy {
 	return st
 }
 
+// Fork splits st into n strategies safe for concurrent use, one per
+// lattice task. The split is deterministic: ImplicitRand draws one seed
+// per task from its parent Rng, in task order, on the calling goroutine,
+// so the per-task random streams depend only on the parent stream's
+// position — never on scheduling — and parallel lattice algorithms stay
+// bit-identical across worker counts. A nil or stateless strategy
+// (Explicit) forks into shared copies. Fork returns nil for unknown
+// stateful strategies, signaling the caller to fall back to a
+// sequential path.
 func Fork(st Strategy, n int) []Strategy {
 	if n <= 0 {
 		return nil

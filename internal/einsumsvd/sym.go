@@ -2,8 +2,6 @@ package einsumsvd
 
 import (
 	"fmt"
-	"math"
-	"strings"
 
 	"gokoala/internal/backend"
 	"gokoala/internal/tensor"
@@ -18,11 +16,7 @@ import (
 // and per-row on the second, with the singular values in the bond's
 // canonical order (ascending sector charge, descending within a sector).
 func SymFactor(eng backend.SymEngine, mode SigmaMode, spec string, rank int, ops ...*tensor.Sym) (a, b *tensor.Sym, s []float64, err error) {
-	shapes := make([][]int, len(ops))
-	for i, op := range ops {
-		shapes[i] = op.Shape()
-	}
-	p, err := compiled(spec, shapes)
+	p, err := compiled(spec, shapesOf(ops))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -33,26 +27,11 @@ func SymFactor(eng backend.SymEngine, mode SigmaMode, spec string, rank int, ops
 	}()
 	full := eng.SymEinsum(p.fullSpec, ops...)
 	u, s, vh := eng.SymSVDSplit(full, len(p.row), rank)
-	k := len(s)
-	var uScale, vScale []float64
-	switch mode {
-	case SigmaRight:
-		uScale, vScale = ones(k), s
-	case SigmaLeft:
-		uScale, vScale = s, ones(k)
-	case SigmaNone:
-		uScale, vScale = ones(k), ones(k)
-	case SigmaBoth:
-		uScale, vScale = make([]float64, k), make([]float64, k)
-		for i, x := range s {
-			r := math.Sqrt(x)
-			uScale[i], vScale[i] = r, r
-		}
-	}
+	uScale, vScale := mode.scales(s)
 	scaleSymBond(u, u.Rank()-1, uScale)
 	scaleSymBond(vh, 0, vScale)
-	a = symPermuteTo(u, p.row+string(p.newLetter), p.out1)
-	b = symPermuteTo(vh, string(p.newLetter)+p.col, p.out2)
+	a = permuteTo(u, p.row+string(p.newLetter), p.out1)
+	b = permuteTo(vh, string(p.newLetter)+p.col, p.out2)
 	return a, b, s, nil
 }
 
@@ -106,20 +85,4 @@ func scaleSymBond(t *tensor.Sym, axis int, scale []float64) {
 			}
 		}
 	})
-}
-
-// symPermuteTo transposes t (axes labeled by from) into the order of to.
-func symPermuteTo(t *tensor.Sym, from, to string) *tensor.Sym {
-	if from == to {
-		return t
-	}
-	perm := make([]int, len(to))
-	for i := 0; i < len(to); i++ {
-		p := strings.IndexByte(from, to[i])
-		if p < 0 {
-			panic(fmt.Sprintf("einsumsvd: internal label mismatch %q vs %q", from, to))
-		}
-		perm[i] = p
-	}
-	return t.Transpose(perm...)
 }

@@ -81,8 +81,9 @@ type Result struct {
 	Energies []float64
 	// MeasuredAt[k] is the 1-based step index of the k-th measurement.
 	MeasuredAt []int
-	// Final is the evolved state (for symmetric runs, its dense
-	// embedding).
+	// Final is the evolved state as the last energy was measured on it:
+	// for weighted runs the copy with the bond weights absorbed, for
+	// symmetric runs the dense embedding.
 	Final *peps.PEPS
 	// FinalSym is the evolved block-sparse state of a symmetric run
 	// that did not fall back; nil otherwise.
@@ -101,26 +102,68 @@ func stepSeed(seed int64, step int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
+// driver is what the evolution loop needs from the state it evolves;
+// the state's kind (plain, lambda-weighted, block-sparse) shows nowhere
+// else in the loop.
+type driver struct {
+	// sweep applies one Trotter sweep in place.
+	sweep func()
+	// dense returns the dense state energies are measured on.
+	dense func() *peps.PEPS
+	// describe adds the state's fields to a step's telemetry event.
+	describe func(fields map[string]float64)
+	// store puts the evolved state into its checkpoint field.
+	store func(cp *checkpoint.ITECheckpoint)
+}
+
+// trotterGates returns one sweep of e^{-tau H} in the selected splitting.
+func trotterGates(obs *quantum.Observable, opts Options) []quantum.TrotterGate {
+	if opts.SecondOrder {
+		return obs.TrotterGatesSecondOrder(complex(-opts.Tau, 0))
+	}
+	return obs.TrotterGates(complex(-opts.Tau, 0))
+}
+
 // Evolve runs ITE on the given initial state and returns the energy
 // trace. The state is evolved in place (resume replaces it with the
 // checkpointed state). Starting from the |+...+> product state (see
 // PlusState) guarantees overlap with the ground sector of the benchmark
 // Hamiltonians.
 func Evolve(state *peps.PEPS, obs *quantum.Observable, opts Options) Result {
-	if opts.MeasureEvery <= 0 {
-		opts.MeasureEvery = 1
-	}
 	if (opts.CheckpointPath != "" || opts.From != nil) && opts.WeightedUpdate {
 		panic("ite: checkpointing does not support WeightedUpdate (bond weights are not serialized)")
+	}
+	if opts.From != nil {
+		state = opts.From.State
+	}
+	gates := trotterGates(obs, opts)
+	d := driver{
+		dense:    func() *peps.PEPS { return state },
+		describe: func(f map[string]float64) { f["max_bond"] = float64(state.MaxBond()) },
+		store:    func(cp *checkpoint.ITECheckpoint) { cp.State = state },
+	}
+	if opts.WeightedUpdate {
+		su := peps.NewSimpleUpdate(state)
+		d.sweep = func() { su.ApplyCircuit(gates, opts.EvolutionRank, nil) }
+		d.dense = su.Absorb
+	} else {
+		upd := peps.UpdateOptions{Rank: opts.EvolutionRank, Method: peps.UpdateQR, Normalize: true}
+		d.sweep = func() { state.ApplyCircuit(gates, upd) }
+	}
+	return evolve(obs, opts, d)
+}
+
+// evolve is the ITE loop: sweep, measure, publish, checkpoint.
+func evolve(obs *quantum.Observable, opts Options, d driver) Result {
+	if opts.MeasureEvery <= 0 {
+		opts.MeasureEvery = 1
 	}
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 1
 	}
 	var res Result
 	start := 1
-	if opts.From != nil {
-		cp := opts.From
-		state = cp.State
+	if cp := opts.From; cp != nil {
 		opts.Seed = cp.Seed
 		start = cp.Step + 1
 		res.Energies = append(res.Energies, cp.Energies...)
@@ -130,41 +173,18 @@ func Evolve(state *peps.PEPS, obs *quantum.Observable, opts Options) Result {
 	if strategy == nil {
 		strategy = einsumsvd.ImplicitRand{Rng: rand.New(rand.NewSource(opts.Seed + 1))}
 	}
-	var gates []quantum.TrotterGate
-	if opts.SecondOrder {
-		gates = obs.TrotterGatesSecondOrder(complex(-opts.Tau, 0))
-	} else {
-		gates = obs.TrotterGates(complex(-opts.Tau, 0))
-	}
-	upd := peps.UpdateOptions{
-		Rank:      opts.EvolutionRank,
-		Method:    peps.UpdateQR,
-		Normalize: true,
-	}
-	var su *peps.SimpleUpdate
-	if opts.WeightedUpdate {
-		su = peps.NewSimpleUpdate(state)
-	}
 	for step := start; step <= opts.Steps; step++ {
-		if su != nil {
-			su.ApplyCircuit(gates, opts.EvolutionRank, nil)
-		} else {
-			state.ApplyCircuit(gates, upd)
-		}
+		d.sweep()
 		// Poll after the sweep so a signal mid-sweep still yields a
 		// consistent measured + checkpointed state for this step.
 		stopping := opts.Stop != nil && opts.Stop()
 		measuredNow := false
 		if step%opts.MeasureEvery == 0 || step == opts.Steps || stopping {
-			measured := state
-			if su != nil {
-				measured = su.Absorb()
-			}
 			// Reseed the measurement stream from (Seed, step): the stream
 			// no longer depends on how many measurements ran before, so a
 			// resumed run reproduces it exactly.
 			st := einsumsvd.Reseed(strategy, stepSeed(opts.Seed, step))
-			e := measured.EnergyPerSite(obs, peps.ExpectationOptions{
+			e := d.dense().EnergyPerSite(obs, peps.ExpectationOptions{
 				M:        opts.ContractionRank,
 				Strategy: st,
 				UseCache: opts.UseCache,
@@ -178,8 +198,8 @@ func Evolve(state *peps.PEPS, obs *quantum.Observable, opts Options) Result {
 			fields := map[string]float64{
 				"step":        float64(step),
 				"steps_total": float64(opts.Steps),
-				"max_bond":    float64(state.MaxBond()),
 			}
+			d.describe(fields)
 			if measuredNow {
 				e := res.Energies[len(res.Energies)-1]
 				fields["energy_per_site"] = e
@@ -189,16 +209,17 @@ func Evolve(state *peps.PEPS, obs *quantum.Observable, opts Options) Result {
 			telemetry.Publish("ite.step", step, fields)
 		}
 		if opts.CheckpointPath != "" && (step%opts.CheckpointEvery == 0 || step == opts.Steps || stopping) {
-			// Failed writes are counted (health.checkpoint_failures) by
-			// WriteAtomic and the previous checkpoint stays valid; losing
-			// one checkpoint must not kill an hours-long evolution.
-			_ = checkpoint.SaveITE(opts.CheckpointPath, &checkpoint.ITECheckpoint{
+			cp := &checkpoint.ITECheckpoint{
 				Step:       step,
 				Seed:       opts.Seed,
 				Energies:   res.Energies,
 				MeasuredAt: res.MeasuredAt,
-				State:      state,
-			})
+			}
+			d.store(cp)
+			// Failed writes are counted (health.checkpoint_failures) by
+			// WriteAtomic and the previous checkpoint stays valid; losing
+			// one checkpoint must not kill an hours-long evolution.
+			_ = checkpoint.SaveITE(opts.CheckpointPath, cp)
 		}
 		if opts.AfterStep != nil {
 			opts.AfterStep(step)
@@ -208,10 +229,7 @@ func Evolve(state *peps.PEPS, obs *quantum.Observable, opts Options) Result {
 			break
 		}
 	}
-	res.Final = state
-	if su != nil {
-		res.Final = su.Absorb()
-	}
+	res.Final = d.dense()
 	return res
 }
 

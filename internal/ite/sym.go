@@ -1,10 +1,7 @@
 package ite
 
 import (
-	"math/rand"
-
 	"gokoala/internal/checkpoint"
-	"gokoala/internal/einsumsvd"
 	"gokoala/internal/health"
 	"gokoala/internal/peps"
 	"gokoala/internal/quantum"
@@ -25,108 +22,45 @@ import (
 // strictly sequential over gates and therefore bit-identical at any
 // worker count.
 func EvolveSym(state *peps.SymPEPS, obs *quantum.Observable, opts Options) Result {
-	if opts.MeasureEvery <= 0 {
-		opts.MeasureEvery = 1
-	}
 	if opts.WeightedUpdate {
 		panic("ite: the weighted simple update does not support the block-sparse backend")
 	}
-	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = 1
+	denseRun := func(start *peps.PEPS) Result {
+		res := Evolve(start, obs, opts)
+		res.FellBack = true
+		return res
 	}
-	var res Result
-	start := 1
-	if opts.From != nil {
-		cp := opts.From
+	if cp := opts.From; cp != nil {
 		if cp.SymState == nil {
 			// The interrupted run had fallen back to dense (or predates the
 			// symmetric format): resume it on the dense path.
-			res := Evolve(nil, obs, opts)
-			res.FellBack = true
-			return res
+			return denseRun(nil)
 		}
 		state = cp.SymState
-		opts.Seed = cp.Seed
-		start = cp.Step + 1
-		res.Energies = append(res.Energies, cp.Energies...)
-		res.MeasuredAt = append(res.MeasuredAt, cp.MeasuredAt...)
 	}
-	var gates []quantum.TrotterGate
-	if opts.SecondOrder {
-		gates = obs.TrotterGatesSecondOrder(complex(-opts.Tau, 0))
-	} else {
-		gates = obs.TrotterGates(complex(-opts.Tau, 0))
-	}
-	symGates, ok := peps.SymTrotterGates(gates, state.Mod())
+	gates, ok := peps.SymTrotterGates(trotterGates(obs, opts), state.Mod())
 	if !ok {
 		// Non-conserving circuit: embed once and run the dense evolution
 		// with unchanged options (including checkpointing, which then
 		// writes ordinary dense records).
 		health.CountSymFallback()
-		r := Evolve(state.ToDense(), obs, opts)
-		r.FellBack = true
-		return r
+		return denseRun(state.ToDense())
 	}
-	strategy := opts.Strategy
-	if strategy == nil {
-		strategy = einsumsvd.ImplicitRand{Rng: rand.New(rand.NewSource(opts.Seed + 1))}
-	}
-	upd := peps.SymUpdateOptions{Rank: opts.EvolutionRank, Normalize: true}
-	for step := start; step <= opts.Steps; step++ {
-		state.ApplyCircuit(symGates, upd)
-		stopping := opts.Stop != nil && opts.Stop()
-		measuredNow := false
-		if step%opts.MeasureEvery == 0 || step == opts.Steps || stopping {
-			st := einsumsvd.Reseed(strategy, stepSeed(opts.Seed, step))
-			e := state.ToDense().EnergyPerSite(obs, peps.ExpectationOptions{
-				M:        opts.ContractionRank,
-				Strategy: st,
-				UseCache: opts.UseCache,
-			})
-			health.CheckFloat("ite.energy", e)
-			res.Energies = append(res.Energies, e)
-			res.MeasuredAt = append(res.MeasuredAt, step)
-			measuredNow = true
-		}
-		if telemetry.Active() {
-			stored := state.StateBytes()
-			denseEquiv := state.DenseEquivBytes()
-			fields := map[string]float64{
-				"step":              float64(step),
-				"steps_total":       float64(opts.Steps),
-				"max_bond":          float64(state.MaxBond()),
-				"state_bytes":       float64(stored),
-				"dense_equiv_bytes": float64(denseEquiv),
-				"blocks":            float64(state.NumBlocks()),
-			}
-			if measuredNow {
-				e := res.Energies[len(res.Energies)-1]
-				fields["energy_per_site"] = e
-				telemetry.Observe("ite.energy_per_site", e)
-			}
-			telemetry.Observe("ite.step", float64(step))
-			telemetry.Observe("peps.sym.state_bytes", float64(stored))
-			telemetry.Observe("peps.sym.dense_equiv_bytes", float64(denseEquiv))
-			telemetry.Publish("ite.step", step, fields)
-		}
-		if opts.CheckpointPath != "" && (step%opts.CheckpointEvery == 0 || step == opts.Steps || stopping) {
-			_ = checkpoint.SaveITE(opts.CheckpointPath, &checkpoint.ITECheckpoint{
-				Step:       step,
-				Seed:       opts.Seed,
-				Energies:   res.Energies,
-				MeasuredAt: res.MeasuredAt,
-				SymState:   state,
-			})
-		}
-		if opts.AfterStep != nil {
-			opts.AfterStep(step)
-		}
-		if stopping {
-			telemetry.Publish("ite.stop", step, nil)
-			break
-		}
-	}
-	res.Final = state.ToDense()
+	upd := peps.UpdateOptions{Rank: opts.EvolutionRank, Normalize: true}
+	res := evolve(obs, opts, driver{
+		sweep: func() { state.ApplyCircuit(gates, upd) },
+		dense: state.ToDense,
+		describe: func(f map[string]float64) {
+			stored, denseEquiv := float64(state.StateBytes()), float64(state.DenseEquivBytes())
+			f["max_bond"] = float64(state.MaxBond())
+			f["state_bytes"] = stored
+			f["dense_equiv_bytes"] = denseEquiv
+			f["blocks"] = float64(state.NumBlocks())
+			telemetry.Observe("peps.sym.state_bytes", stored)
+			telemetry.Observe("peps.sym.dense_equiv_bytes", denseEquiv)
+		},
+		store: func(cp *checkpoint.ITECheckpoint) { cp.SymState = state },
+	})
 	res.FinalSym = state
 	return res
 }

@@ -21,17 +21,17 @@ import (
 	"gokoala/internal/tensor"
 )
 
-// PEPS is a 2-D tensor network state. The represented amplitudes are the
-// network contraction times exp(LogScale); the scale factor keeps site
-// tensors O(1) across long imaginary-time evolutions.
+// PEPS is a 2-D tensor network state of dense site tensors (see lattice
+// for the fields and addressing it shares with SymPEPS).
 type PEPS struct {
-	Rows, Cols int
-	// LogScale is the log of a global positive prefactor on all
-	// amplitudes, maintained by normalizing updates.
-	LogScale float64
+	lattice[*tensor.Dense]
+	eng backend.Engine
+}
 
-	sites [][]*tensor.Dense
-	eng   backend.Engine
+// with returns a state on the same engine and scale holding the given
+// site grid.
+func (p *PEPS) with(sites [][]*tensor.Dense) *PEPS {
+	return &PEPS{lattice: gridOf(sites, p.LogScale), eng: p.eng}
 }
 
 // New wraps a grid of site tensors after validating shapes and bond
@@ -41,91 +41,27 @@ func New(eng backend.Engine, sites [][]*tensor.Dense) *PEPS {
 	if rows == 0 || len(sites[0]) == 0 {
 		panic("peps: empty lattice")
 	}
-	cols := len(sites[0])
-	p := &PEPS{Rows: rows, Cols: cols, sites: sites, eng: eng}
-	p.validate()
-	return p
-}
-
-// validate panics on an inconsistent lattice; the panic form is for
-// construction sites (New) where an inconsistent lattice is a programming
-// error. Load validates untrusted bytes with checkValid instead, so a
-// corrupt checkpoint surfaces as an error, never a crash.
-func (p *PEPS) validate() {
+	p := &PEPS{lattice: gridOf(sites, 0), eng: eng}
 	if err := p.checkValid(); err != nil {
 		panic(err.Error())
 	}
+	return p
 }
 
-// checkValid verifies lattice shape and bond consistency, returning the
-// first inconsistency as an error.
+// checkValid verifies lattice shape and bond consistency: boundary bonds
+// of dimension one, equal dimensions across every shared bond.
 func (p *PEPS) checkValid() error {
-	for r := 0; r < p.Rows; r++ {
-		if len(p.sites[r]) != p.Cols {
-			return fmt.Errorf("peps: ragged row %d", r)
-		}
-		for c := 0; c < p.Cols; c++ {
-			t := p.sites[r][c]
-			if t == nil {
-				return fmt.Errorf("peps: missing site (%d,%d)", r, c)
-			}
-			if t.Rank() != 5 {
-				return fmt.Errorf("peps: site (%d,%d) has rank %d, want 5", r, c, t.Rank())
-			}
-			if r == 0 && t.Dim(0) != 1 {
-				return fmt.Errorf("peps: site (%d,%d) top boundary bond %d != 1", r, c, t.Dim(0))
-			}
-			if r == p.Rows-1 && t.Dim(2) != 1 {
-				return fmt.Errorf("peps: site (%d,%d) bottom boundary bond %d != 1", r, c, t.Dim(2))
-			}
-			if c == 0 && t.Dim(1) != 1 {
-				return fmt.Errorf("peps: site (%d,%d) left boundary bond %d != 1", r, c, t.Dim(1))
-			}
-			if c == p.Cols-1 && t.Dim(3) != 1 {
-				return fmt.Errorf("peps: site (%d,%d) right boundary bond %d != 1", r, c, t.Dim(3))
-			}
-			if r+1 < p.Rows && t.Dim(2) != p.sites[r+1][c].Dim(0) {
-				return fmt.Errorf("peps: vertical bond mismatch at (%d,%d)", r, c)
-			}
-			if c+1 < p.Cols && t.Dim(3) != p.sites[r][c+1].Dim(1) {
-				return fmt.Errorf("peps: horizontal bond mismatch at (%d,%d)", r, c)
-			}
-		}
-	}
-	return nil
+	return p.lattice.checkValid(
+		func(t *tensor.Dense, axis int) bool { return t.Dim(axis) == 1 },
+		func(a *tensor.Dense, axisA int, b *tensor.Dense, axisB int) bool { return a.Dim(axisA) == b.Dim(axisB) })
 }
 
 // Engine returns the backend engine the state computes with.
 func (p *PEPS) Engine() backend.Engine { return p.eng }
 
-// Site returns the tensor at (row, col).
-func (p *PEPS) Site(r, c int) *tensor.Dense { return p.sites[r][c] }
-
-// SetSite replaces the tensor at (row, col) without validation; callers
-// must preserve bond consistency.
-func (p *PEPS) SetSite(r, c int, t *tensor.Dense) { p.sites[r][c] = t }
-
-// SiteIndex returns the flattened index of (row, col).
-func (p *PEPS) SiteIndex(r, c int) int { return r*p.Cols + c }
-
-// Coords returns the (row, col) of a flattened site index.
-func (p *PEPS) Coords(site int) (int, int) {
-	if site < 0 || site >= p.Rows*p.Cols {
-		panic(fmt.Sprintf("peps: site %d out of range", site))
-	}
-	return site / p.Cols, site % p.Cols
-}
-
 // Clone returns a deep copy of the state.
 func (p *PEPS) Clone() *PEPS {
-	sites := make([][]*tensor.Dense, p.Rows)
-	for r := range sites {
-		sites[r] = make([]*tensor.Dense, p.Cols)
-		for c := range sites[r] {
-			sites[r][c] = p.sites[r][c].Clone()
-		}
-	}
-	return &PEPS{Rows: p.Rows, Cols: p.Cols, LogScale: p.LogScale, sites: sites, eng: p.eng}
+	return &PEPS{lattice: p.cloned(), eng: p.eng}
 }
 
 // ShallowClone copies the site grid but shares the tensors; used when only
@@ -135,23 +71,7 @@ func (p *PEPS) ShallowClone() *PEPS {
 	for r := range sites {
 		sites[r] = append([]*tensor.Dense{}, p.sites[r]...)
 	}
-	return &PEPS{Rows: p.Rows, Cols: p.Cols, LogScale: p.LogScale, sites: sites, eng: p.eng}
-}
-
-// MaxBond returns the largest bond dimension in the network.
-func (p *PEPS) MaxBond() int {
-	m := 1
-	for r := 0; r < p.Rows; r++ {
-		for c := 0; c < p.Cols; c++ {
-			t := p.sites[r][c]
-			for _, ax := range []int{0, 1, 2, 3} {
-				if t.Dim(ax) > m {
-					m = t.Dim(ax)
-				}
-			}
-		}
-	}
-	return m
+	return p.with(sites)
 }
 
 // ComputationalZeros returns the product state |0...0> on a rows-by-cols
@@ -219,11 +139,7 @@ func RandomNoPhys(eng backend.Engine, rng *rand.Rand, rows, cols, bond int) *PEP
 // ApplyOneSite applies a 2x2 (more generally d'-by-d) one-site operator
 // to the given site in place (paper equation 3).
 func (p *PEPS) ApplyOneSite(g *tensor.Dense, site int) {
-	r, c := p.Coords(site)
-	if g.Rank() != 2 {
-		panic("peps: one-site operator must be a matrix")
-	}
-	p.sites[r][c] = p.eng.Einsum("ij,uldrj->uldri", g, p.sites[r][c])
+	applyOneSite(&p.lattice, p.eng.Einsum, g, site)
 }
 
 // Project contracts each site's physical leg with the corresponding basis
@@ -266,7 +182,7 @@ func (p *PEPS) TransposeLattice() *PEPS {
 			sites[c][r] = p.sites[r][c].Transpose(1, 0, 3, 2, 4)
 		}
 	}
-	return &PEPS{Rows: p.Cols, Cols: p.Rows, LogScale: p.LogScale, sites: sites, eng: p.eng}
+	return p.with(sites)
 }
 
 // FlipVertical returns the state reflected about the horizontal axis:
@@ -280,5 +196,5 @@ func (p *PEPS) FlipVertical() *PEPS {
 			sites[r][c] = p.sites[p.Rows-1-r][c].Transpose(2, 1, 0, 3, 4)
 		}
 	}
-	return &PEPS{Rows: p.Rows, Cols: p.Cols, LogScale: p.LogScale, sites: sites, eng: p.eng}
+	return p.with(sites)
 }

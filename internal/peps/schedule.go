@@ -12,7 +12,7 @@ func (p *PEPS) gateTouches(g quantum.TrotterGate) []int {
 	case 2:
 		r1, c1 := p.Coords(g.Sites[0])
 		r2, c2 := p.Coords(g.Sites[1])
-		if (r1 == r2 && abs(c1-c2) == 1) || (c1 == c2 && abs(r1-r2) == 1) {
+		if adjacent(r1, c1, r2, c2) {
 			return g.Sites
 		}
 		return nil

@@ -137,7 +137,7 @@ func Load(r io.Reader, eng backend.Engine) (*PEPS, error) {
 			sites[rr][cc] = tensor.FromData(data, shape...)
 		}
 	}
-	p := &PEPS{Rows: rows, Cols: cols, LogScale: logScale, sites: sites, eng: eng}
+	p := &PEPS{lattice: gridOf(sites, logScale), eng: eng}
 	// Untrusted input: a corrupt checkpoint must come back as an error a
 	// resuming run can handle, never a panic.
 	if err := p.checkValid(); err != nil {

@@ -2,13 +2,11 @@ package peps
 
 import (
 	"fmt"
-	"math"
 
 	"gokoala/internal/backend"
 	"gokoala/internal/einsumsvd"
 	"gokoala/internal/obs"
 	"gokoala/internal/quantum"
-	"gokoala/internal/telemetry"
 	"gokoala/internal/tensor"
 )
 
@@ -24,23 +22,17 @@ import (
 // dense evolution of the same gates would have produced, which is what
 // the randomized equivalence tests check.
 type SymPEPS struct {
-	Rows, Cols int
-	// LogScale is the log of a global positive prefactor on all
-	// amplitudes, exactly as in the dense PEPS.
-	LogScale float64
-
-	sites [][]*tensor.Sym
-	eng   backend.SymEngine
+	lattice[*tensor.Sym]
+	eng backend.SymEngine
 }
 
 // NewSymPEPS wraps a grid of block-sparse site tensors after validating
 // lattice shape and bond duality.
 func NewSymPEPS(eng backend.SymEngine, sites [][]*tensor.Sym) *SymPEPS {
-	rows := len(sites)
-	if rows == 0 || len(sites[0]) == 0 {
+	if len(sites) == 0 || len(sites[0]) == 0 {
 		panic("peps: empty lattice")
 	}
-	p := &SymPEPS{Rows: rows, Cols: len(sites[0]), sites: sites, eng: eng}
+	p := &SymPEPS{lattice: gridOf(sites, 0), eng: eng}
 	if err := p.checkValid(); err != nil {
 		panic(err.Error())
 	}
@@ -60,48 +52,24 @@ func PhysSymLeg(dir int) tensor.Leg {
 	return tensor.Leg{Dir: dir, Charges: []int{0, 1}, Dims: []int{1, 1}}
 }
 
-// checkValid verifies lattice shape, one shared mod, boundary bonds, and
-// bond duality between neighbors.
+// checkValid verifies lattice shape, trivial boundary bonds, bond duality
+// between neighbors, and one shared mod.
 func (p *SymPEPS) checkValid() error {
-	mod := -1
-	for r := 0; r < p.Rows; r++ {
-		if len(p.sites[r]) != p.Cols {
-			return fmt.Errorf("peps: ragged row %d", r)
-		}
-		for c := 0; c < p.Cols; c++ {
-			t := p.sites[r][c]
-			if t == nil {
-				return fmt.Errorf("peps: missing site (%d,%d)", r, c)
-			}
-			if t.Rank() != 5 {
-				return fmt.Errorf("peps: site (%d,%d) has rank %d, want 5", r, c, t.Rank())
-			}
-			if mod < 0 {
-				mod = t.Mod()
-			} else if t.Mod() != mod {
-				return fmt.Errorf("peps: site (%d,%d) has mod %d, want %d", r, c, t.Mod(), mod)
-			}
-			boundary := func(ax int) bool {
-				l := t.Leg(ax)
-				return l.TotalDim() == 1 && l.NumSectors() == 1 && l.Charges[0] == 0
-			}
-			if r == 0 && !boundary(0) {
-				return fmt.Errorf("peps: site (%d,%d) top boundary bond not trivial", r, c)
-			}
-			if r == p.Rows-1 && !boundary(2) {
-				return fmt.Errorf("peps: site (%d,%d) bottom boundary bond not trivial", r, c)
-			}
-			if c == 0 && !boundary(1) {
-				return fmt.Errorf("peps: site (%d,%d) left boundary bond not trivial", r, c)
-			}
-			if c == p.Cols-1 && !boundary(3) {
-				return fmt.Errorf("peps: site (%d,%d) right boundary bond not trivial", r, c)
-			}
-			if r+1 < p.Rows && !tensor.DualLegs(t.Leg(2), p.sites[r+1][c].Leg(0)) {
-				return fmt.Errorf("peps: vertical bond mismatch at (%d,%d)", r, c)
-			}
-			if c+1 < p.Cols && !tensor.DualLegs(t.Leg(3), p.sites[r][c+1].Leg(1)) {
-				return fmt.Errorf("peps: horizontal bond mismatch at (%d,%d)", r, c)
+	err := p.lattice.checkValid(
+		func(t *tensor.Sym, axis int) bool {
+			l := t.Leg(axis)
+			return l.TotalDim() == 1 && l.NumSectors() == 1 && l.Charges[0] == 0
+		},
+		func(a *tensor.Sym, axisA int, b *tensor.Sym, axisB int) bool {
+			return tensor.DualLegs(a.Leg(axisA), b.Leg(axisB))
+		})
+	if err != nil {
+		return err
+	}
+	for r, row := range p.sites {
+		for c, t := range row {
+			if t.Mod() != p.Mod() {
+				return fmt.Errorf("peps: site (%d,%d) has mod %d, want %d", r, c, t.Mod(), p.Mod())
 			}
 		}
 	}
@@ -114,97 +82,40 @@ func (p *SymPEPS) Engine() backend.SymEngine { return p.eng }
 // Mod returns the symmetry group modulus (0 for U(1), n for Z_n).
 func (p *SymPEPS) Mod() int { return p.sites[0][0].Mod() }
 
-// Site returns the tensor at (row, col).
-func (p *SymPEPS) Site(r, c int) *tensor.Sym { return p.sites[r][c] }
-
-// SetSite replaces the tensor at (row, col) without validation.
-func (p *SymPEPS) SetSite(r, c int, t *tensor.Sym) { p.sites[r][c] = t }
-
-// SiteIndex returns the flattened index of (row, col).
-func (p *SymPEPS) SiteIndex(r, c int) int { return r*p.Cols + c }
-
-// Coords returns the (row, col) of a flattened site index.
-func (p *SymPEPS) Coords(site int) (int, int) {
-	if site < 0 || site >= p.Rows*p.Cols {
-		panic(fmt.Sprintf("peps: site %d out of range", site))
-	}
-	return site / p.Cols, site % p.Cols
-}
-
 // Clone returns a deep copy of the state.
 func (p *SymPEPS) Clone() *SymPEPS {
-	sites := make([][]*tensor.Sym, p.Rows)
-	for r := range sites {
-		sites[r] = make([]*tensor.Sym, p.Cols)
-		for c := range sites[r] {
-			sites[r][c] = p.sites[r][c].Clone()
-		}
-	}
-	return &SymPEPS{Rows: p.Rows, Cols: p.Cols, LogScale: p.LogScale, sites: sites, eng: p.eng}
+	return &SymPEPS{lattice: p.cloned(), eng: p.eng}
 }
 
-// MaxBond returns the largest total bond dimension in the network.
-func (p *SymPEPS) MaxBond() int {
-	m := 1
-	for r := 0; r < p.Rows; r++ {
-		for c := 0; c < p.Cols; c++ {
-			for _, ax := range []int{0, 1, 2, 3} {
-				if d := p.sites[r][c].Leg(ax).TotalDim(); d > m {
-					m = d
-				}
-			}
-		}
-	}
-	return m
-}
-
-// StateBytes returns the bytes actually stored across all site blocks.
-func (p *SymPEPS) StateBytes() int64 {
+// sumSites adds up a per-site storage statistic.
+func (p *SymPEPS) sumSites(f func(*tensor.Sym) int64) int64 {
 	var n int64
-	for r := 0; r < p.Rows; r++ {
-		for c := 0; c < p.Cols; c++ {
-			n += p.sites[r][c].StoredBytes()
+	for _, row := range p.sites {
+		for _, t := range row {
+			n += f(t)
 		}
 	}
 	return n
 }
+
+// StateBytes returns the bytes actually stored across all site blocks.
+func (p *SymPEPS) StateBytes() int64 { return p.sumSites((*tensor.Sym).StoredBytes) }
 
 // DenseEquivBytes returns the bytes a dense representation of the same
 // bond dimensions would occupy; StateBytes/DenseEquivBytes is the
 // block-sparse memory saving.
-func (p *SymPEPS) DenseEquivBytes() int64 {
-	var n int64
-	for r := 0; r < p.Rows; r++ {
-		for c := 0; c < p.Cols; c++ {
-			n += p.sites[r][c].DenseBytes()
-		}
-	}
-	return n
-}
+func (p *SymPEPS) DenseEquivBytes() int64 { return p.sumSites((*tensor.Sym).DenseBytes) }
 
 // NumBlocks returns the total stored-block count across all sites.
 func (p *SymPEPS) NumBlocks() int {
-	n := 0
-	for r := 0; r < p.Rows; r++ {
-		for c := 0; c < p.Cols; c++ {
-			n += p.sites[r][c].NumBlocks()
-		}
-	}
-	return n
+	return int(p.sumSites(func(t *tensor.Sym) int64 { return int64(t.NumBlocks()) }))
 }
 
 // ToDense embeds every site into its dense form, producing the ordinary
 // PEPS the rest of the library (expectation values, benchmarks,
 // reference checks) operates on. The embedding is exact.
 func (p *SymPEPS) ToDense() *PEPS {
-	sites := make([][]*tensor.Dense, p.Rows)
-	for r := range sites {
-		sites[r] = make([]*tensor.Dense, p.Cols)
-		for c := range sites[r] {
-			sites[r][c] = p.sites[r][c].ToDense()
-		}
-	}
-	return &PEPS{Rows: p.Rows, Cols: p.Cols, LogScale: p.LogScale, sites: sites, eng: p.eng}
+	return &PEPS{lattice: gridOf(mapSites(p.sites, (*tensor.Sym).ToDense), p.LogScale), eng: p.eng}
 }
 
 // SymComputationalBasis returns the basis product state with the given
@@ -297,156 +208,64 @@ func SymTrotterGates(gates []quantum.TrotterGate, mod int) ([]SymGate, bool) {
 	return out, true
 }
 
+// symKernel runs the update block by block on a backend.SymEngine. Only
+// the explicit contract-then-SVD refactorization exists for block-sparse
+// tensors: randomized sketching mixes charge sectors.
+type symKernel struct {
+	eng  backend.SymEngine
+	mod  int
+	mode einsumsvd.SigmaMode
+}
+
+func (k symKernel) einsum(spec string, ops ...*tensor.Sym) *tensor.Sym {
+	return k.eng.SymEinsum(spec, ops...)
+}
+
+func (k symKernel) qrSplit(t *tensor.Sym, leftAxes int) (*tensor.Sym, *tensor.Sym) {
+	return k.eng.SymQRSplit(t, leftAxes)
+}
+
+func (k symKernel) factor(spec string, rank int, ops ...*tensor.Sym) (*tensor.Sym, *tensor.Sym, []float64) {
+	return einsumsvd.MustSymFactor(k.eng, k.mode, spec, rank, ops...)
+}
+
+func (symKernel) gate4(g *tensor.Sym) *tensor.Sym { return g }
+
+func (k symKernel) swap() *tensor.Sym {
+	swap, ok := SymTwoSiteGate(quantum.SWAP(), k.mod)
+	if !ok {
+		panic("peps: SWAP gate must conserve charge")
+	}
+	return swap
+}
+
+// updater serves the options block-sparse tensors can: either update
+// method, with the explicit strategy in any sigma mode (nil means
+// balanced, as on the dense path). Any other strategy panics rather than
+// silently running a different factorization.
+func (p *SymPEPS) updater(opts UpdateOptions) *updater[*tensor.Sym] {
+	st, ok := opts.strategy().(einsumsvd.Explicit)
+	if !ok {
+		panic(fmt.Sprintf("peps: block-sparse updates support only the explicit strategy, not %s", opts.Strategy.Name()))
+	}
+	return newUpdater(&p.lattice, symKernel{p.eng, p.Mod(), st.Mode}, "sym-"+updateMethodName(opts.Method), opts)
+}
+
 // ApplyOneSite applies a converted one-site gate in place.
 func (p *SymPEPS) ApplyOneSite(g *tensor.Sym, site int) {
-	r, c := p.Coords(site)
-	if g.Rank() != 2 {
-		panic("peps: one-site operator must be a matrix")
-	}
-	p.sites[r][c] = p.eng.SymEinsum("ij,uldrj->uldri", g, p.sites[r][c])
-}
-
-// SymUpdateOptions configures block-sparse two-site updates. Only the
-// QR-SVD update (paper Algorithm 1) with the balanced-sigma explicit
-// refactorization is implemented: randomized sketching mixes charge
-// sectors, so the implicit strategies stay dense-only.
-type SymUpdateOptions struct {
-	// Rank caps the total bond dimension after the update; 0 means no
-	// truncation.
-	Rank int
-	// Normalize rescales updated site tensors to unit Frobenius norm,
-	// folding the factor into LogScale.
-	Normalize bool
-}
-
-func (o SymUpdateOptions) rank() int {
-	if o.Rank <= 0 {
-		return exactRank
-	}
-	return o.Rank
+	applyOneSite(&p.lattice, p.eng.SymEinsum, g, site)
 }
 
 // ApplyTwoSite applies a converted two-site gate g4 (legs [i,j,p,q]
 // over (site1, site2)) to two lattice sites, routing non-adjacent pairs
 // with SWAP chains exactly like the dense path.
-func (p *SymPEPS) ApplyTwoSite(g4 *tensor.Sym, site1, site2 int, opts SymUpdateOptions) {
-	r1, c1 := p.Coords(site1)
-	r2, c2 := p.Coords(site2)
-	if site1 == site2 {
-		panic("peps: two-site gate on identical sites")
-	}
-	sp := obs.Start("peps.update").SetStr("method", "sym-qr-svd")
-	defer sp.End()
-	switch {
-	case r1 == r2 && abs(c1-c2) == 1:
-		if c1 < c2 {
-			p.applySymHorizontal(g4, r1, c1, opts)
-		} else {
-			p.applySymHorizontal(swapSymGateOrder(g4), r1, c2, opts)
-		}
-	case c1 == c2 && abs(r1-r2) == 1:
-		if r1 < r2 {
-			p.applySymVertical(g4, r1, c1, opts)
-		} else {
-			p.applySymVertical(swapSymGateOrder(g4), r2, c1, opts)
-		}
-	default:
-		swap, ok := SymTwoSiteGate(quantum.SWAP(), p.Mod())
-		if !ok {
-			panic("peps: SWAP gate must conserve charge")
-		}
-		for _, step := range routedApplications(r1, c1, r2, c2) {
-			g := swap
-			if step.gate {
-				g = g4
-			}
-			p.applySymAdjacent(g, step.ra, step.ca, step.rb, step.cb, opts)
-		}
-	}
-}
-
-// swapSymGateOrder reorders a two-qubit gate tensor g[i1,i2,j1,j2] to
-// act with its qubit arguments exchanged.
-func swapSymGateOrder(g4 *tensor.Sym) *tensor.Sym {
-	return g4.Transpose(1, 0, 3, 2)
-}
-
-func (p *SymPEPS) applySymAdjacent(g4 *tensor.Sym, ra, ca, rb, cb int, opts SymUpdateOptions) {
-	switch {
-	case ra == rb && cb == ca+1:
-		p.applySymHorizontal(g4, ra, ca, opts)
-	case ra == rb && cb == ca-1:
-		p.applySymHorizontal(swapSymGateOrder(g4), ra, cb, opts)
-	case ca == cb && rb == ra+1:
-		p.applySymVertical(g4, ra, ca, opts)
-	case ca == cb && rb == ra-1:
-		p.applySymVertical(swapSymGateOrder(g4), rb, ca, opts)
-	default:
-		panic(fmt.Sprintf("peps: sites (%d,%d) and (%d,%d) not adjacent", ra, ca, rb, cb))
-	}
-}
-
-// applySymHorizontal is the QR-SVD update of paper Algorithm 1 on sites
-// (r,c) and (r,c+1), every kernel running block by block.
-func (p *SymPEPS) applySymHorizontal(g4 *tensor.Sym, r, c int, opts SymUpdateOptions) {
-	a, b := p.sites[r][c], p.sites[r][c+1]
-	telemetry.ClearPendingTrunc()
-	qa, ra := p.eng.SymQRSplit(a, 3)                          // [a,b,c,k], [k,x,p]
-	qb, rb := p.eng.SymQRSplit(b.Transpose(0, 2, 3, 1, 4), 3) // rows (e,f,g): [e,f,g,l], [l,x,q]
-	rka, rkb, s := einsumsvd.MustSymFactor(p.eng, einsumsvd.SigmaBoth,
-		"kxp,lxq,ijpq->kin|nlj", opts.rank(), ra, rb, g4)
-	p.sites[r][c] = p.eng.SymEinsum("abck,kin->abcni", qa, rka)
-	p.sites[r][c+1] = p.eng.SymEinsum("efgl,nlj->enfgj", qb, rkb)
-	recordBondUpdate("h", r, c, len(s))
-	if opts.Normalize {
-		p.normalizeSymSite(r, c)
-		p.normalizeSymSite(r, c+1)
-	}
-}
-
-// applySymVertical is the same update on sites (r,c) and (r+1,c).
-func (p *SymPEPS) applySymVertical(g4 *tensor.Sym, r, c int, opts SymUpdateOptions) {
-	a, b := p.sites[r][c], p.sites[r+1][c]
-	telemetry.ClearPendingTrunc()
-	qa, ra := p.eng.SymQRSplit(a.Transpose(0, 1, 3, 2, 4), 3) // rows (a,b,d): [a,b,d,k], [k,x,p]
-	qb, rb := p.eng.SymQRSplit(b.Transpose(1, 2, 3, 0, 4), 3) // rows (f,g,h): [f,g,h,l], [l,x,q]
-	rka, rkb, s := einsumsvd.MustSymFactor(p.eng, einsumsvd.SigmaBoth,
-		"kxp,lxq,ijpq->kin|nlj", opts.rank(), ra, rb, g4)
-	p.sites[r][c] = p.eng.SymEinsum("abdk,kin->abndi", qa, rka)
-	p.sites[r+1][c] = p.eng.SymEinsum("fghl,nlj->nfghj", qb, rkb)
-	recordBondUpdate("v", r, c, len(s))
-	if opts.Normalize {
-		p.normalizeSymSite(r, c)
-		p.normalizeSymSite(r+1, c)
-	}
-}
-
-// normalizeSymSite rescales a site tensor to unit Frobenius norm,
-// folding the factor into LogScale.
-func (p *SymPEPS) normalizeSymSite(r, c int) {
-	t := p.sites[r][c]
-	n := t.Norm()
-	if n == 0 {
-		return
-	}
-	t.ScaleInPlace(complex(1/n, 0))
-	p.LogScale += math.Log(n)
+func (p *SymPEPS) ApplyTwoSite(g4 *tensor.Sym, site1, site2 int, opts UpdateOptions) {
+	p.LogScale += p.updater(opts).twoSite(g4, site1, site2)
 }
 
 // ApplyGate dispatches a converted one- or two-site gate.
-func (p *SymPEPS) ApplyGate(g SymGate, opts SymUpdateOptions) {
-	switch len(g.Sites) {
-	case 1:
-		p.ApplyOneSite(g.Gate, g.Sites[0])
-		if opts.Normalize {
-			r, c := p.Coords(g.Sites[0])
-			p.normalizeSymSite(r, c)
-		}
-	case 2:
-		p.ApplyTwoSite(g.Gate, g.Sites[0], g.Sites[1], opts)
-	default:
-		panic("peps: unsupported gate arity")
-	}
+func (p *SymPEPS) ApplyGate(g SymGate, opts UpdateOptions) {
+	p.LogScale += p.updater(opts).gate(g.Sites, g.Gate)
 }
 
 // ApplyCircuit applies a sequence of converted gates with the same
@@ -454,7 +273,7 @@ func (p *SymPEPS) ApplyGate(g SymGate, opts SymUpdateOptions) {
 // parallel dense kernels block by block, and a fixed application order
 // keeps results bit-identical at any worker count with no wave
 // scheduling or delta reduction needed.
-func (p *SymPEPS) ApplyCircuit(gates []SymGate, opts SymUpdateOptions) {
+func (p *SymPEPS) ApplyCircuit(gates []SymGate, opts UpdateOptions) {
 	sp := obs.Start("peps.circuit").SetInt("gates", int64(len(gates)))
 	defer sp.End()
 	for _, g := range gates {

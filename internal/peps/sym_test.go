@@ -107,7 +107,7 @@ func TestSymCircuitMatchesDenseTFI(t *testing.T) {
 	sp := SymComputationalBasis(se, 2, 2, 2, nil)
 	dp := sp.ToDense()
 	for sweep := 0; sweep < 2; sweep++ {
-		sp.ApplyCircuit(symGates, SymUpdateOptions{Normalize: true})
+		sp.ApplyCircuit(symGates, UpdateOptions{Normalize: true})
 		applyDenseGates(dp, gates, 0)
 	}
 	eSym := symEnergy(t, sp.ToDense(), obs)
@@ -136,7 +136,7 @@ func TestSymCircuitMatchesDenseU1Routed(t *testing.T) {
 	bits := quantum.NeelBits(2, 2)
 	sp := SymComputationalBasis(se, 0, 2, 2, bits)
 	dp := sp.ToDense()
-	sp.ApplyCircuit(symGates, SymUpdateOptions{Rank: 4, Normalize: true})
+	sp.ApplyCircuit(symGates, UpdateOptions{Rank: 4, Normalize: true})
 	applyDenseGates(dp, gates, 4)
 	eSym := symEnergy(t, sp.ToDense(), obs)
 	eDense := symEnergy(t, dp, obs)
@@ -152,7 +152,7 @@ func TestSymStateSavingsPositive(t *testing.T) {
 	symGates, _ := SymTrotterGates(gates, 2)
 	sp := SymComputationalBasis(se, 2, 2, 3, nil)
 	for i := 0; i < 3; i++ {
-		sp.ApplyCircuit(symGates, SymUpdateOptions{Rank: 4, Normalize: true})
+		sp.ApplyCircuit(symGates, UpdateOptions{Rank: 4, Normalize: true})
 	}
 	if sp.StateBytes() >= sp.DenseEquivBytes() {
 		t.Fatalf("no memory saving: stored %d dense %d", sp.StateBytes(), sp.DenseEquivBytes())
@@ -168,7 +168,7 @@ func TestSymSerializeRoundTrip(t *testing.T) {
 	gates := obs.TrotterGates(complex(-0.05, 0))
 	symGates, _ := SymTrotterGates(gates, 2)
 	sp := SymComputationalBasis(se, 2, 2, 2, nil)
-	sp.ApplyCircuit(symGates, SymUpdateOptions{Rank: 2, Normalize: true})
+	sp.ApplyCircuit(symGates, UpdateOptions{Rank: 2, Normalize: true})
 
 	var buf1 bytes.Buffer
 	if err := sp.Save(&buf1); err != nil {

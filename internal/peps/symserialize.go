@@ -158,7 +158,7 @@ func LoadSym(r io.Reader, eng backend.SymEngine) (p *SymPEPS, err error) {
 			sites[rr][cc] = t
 		}
 	}
-	p = &SymPEPS{Rows: rows, Cols: cols, LogScale: logScale, sites: sites, eng: eng}
+	p = &SymPEPS{lattice: gridOf(sites, logScale), eng: eng}
 	if err := p.checkValid(); err != nil {
 		return nil, fmt.Errorf("peps: sym load: %w", err)
 	}

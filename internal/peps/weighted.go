@@ -126,55 +126,21 @@ func scaleAxis(t *tensor.Dense, axis int, w []float64, invert bool) *tensor.Dens
 // ApplyGate applies a one- or two-site gate with weighted truncation.
 // Non-adjacent pairs are routed with SWAP chains like the plain update.
 func (su *SimpleUpdate) ApplyGate(g quantum.TrotterGate, rank int, st einsumsvd.Strategy) {
-	switch len(g.Sites) {
-	case 1:
-		su.State.ApplyOneSite(g.Gate, g.Sites[0])
-	case 2:
-		su.applyTwoSite(g.Gate, g.Sites[0], g.Sites[1], rank, st)
-	default:
-		panic("peps: unsupported gate arity")
+	p := su.State
+	// SigmaNone: the singular values come back as the new bond weights.
+	u := newUpdater(&p.lattice, denseKernel{p.eng, withSigmaNone(st)}, "weighted-qr-svd", UpdateOptions{Rank: rank})
+	u.step = func(g4 *tensor.Dense, d *bondDir, r, c int) float64 {
+		envA, envB := su.absorbEnv(d, r, c)
+		su.storeWeights(d, r, c, u.bond(g4, d, r, c), envA, envB)
+		return 0 // storeWeights folds the scale into LogScale itself
 	}
+	u.gate(g.Sites, g.Gate)
 }
 
 // ApplyCircuit applies a gate sequence.
 func (su *SimpleUpdate) ApplyCircuit(gates []quantum.TrotterGate, rank int, st einsumsvd.Strategy) {
 	for _, g := range gates {
 		su.ApplyGate(g, rank, st)
-	}
-}
-
-func (su *SimpleUpdate) applyTwoSite(g *tensor.Dense, site1, site2 int, rank int, st einsumsvd.Strategy) {
-	p := su.State
-	r1, c1 := p.Coords(site1)
-	r2, c2 := p.Coords(site2)
-	if site1 == site2 {
-		panic("peps: two-site gate on identical sites")
-	}
-	g4 := quantum.Gate4(g)
-	apply := func(g4 *tensor.Dense, ra, ca, rb, cb int) {
-		switch {
-		case ra == rb && cb == ca+1:
-			su.weightedHorizontal(g4, ra, ca, rank, st)
-		case ra == rb && cb == ca-1:
-			su.weightedHorizontal(swapGateOrder(g4), ra, cb, rank, st)
-		case ca == cb && rb == ra+1:
-			su.weightedVertical(g4, ra, ca, rank, st)
-		case ca == cb && rb == ra-1:
-			su.weightedVertical(swapGateOrder(g4), rb, ca, rank, st)
-		default:
-			panic(fmt.Sprintf("peps: sites (%d,%d) and (%d,%d) not adjacent", ra, ca, rb, cb))
-		}
-	}
-	if r1 == r2 && abs(c1-c2) == 1 || c1 == c2 && abs(r1-r2) == 1 {
-		apply(g4, r1, c1, r2, c2)
-		return
-	}
-	for _, step := range routedApplications(r1, c1, r2, c2) {
-		if step.gate {
-			apply(g4, step.ra, step.ca, step.rb, step.cb)
-		} else {
-			apply(quantum.Gate4(quantum.SWAP()), step.ra, step.ca, step.rb, step.cb)
-		}
 	}
 }
 
@@ -210,74 +176,45 @@ func applyEnvWeights(t *tensor.Dense, w [4][]float64, invert bool) *tensor.Dense
 	return t
 }
 
-// weightedHorizontal updates sites (r,c)-(r,c+1) with the gate's first
-// qubit on (r,c), using the lambda-weighted environment.
-func (su *SimpleUpdate) weightedHorizontal(g4 *tensor.Dense, r, c int, rank int, st einsumsvd.Strategy) {
+// bondWeights returns the slot holding the weights of the d-bond whose
+// first site is (r,c).
+func (su *SimpleUpdate) bondWeights(d *bondDir, r, c int) *[]float64 {
+	if d == horizontal {
+		return &su.HW[r][c]
+	}
+	return &su.VW[r][c]
+}
+
+// absorbEnv is the hook before a bond update: it multiplies the
+// lambda-weighted environment into both sites of the bond, and the shared
+// lambda once into the first, and returns the environment weights for
+// storeWeights to divide out again.
+func (su *SimpleUpdate) absorbEnv(d *bondDir, r, c int) (envA, envB [4][]float64) {
 	p := su.State
-	envA := su.envWeightsAt(r, c, 3)
-	envB := su.envWeightsAt(r, c+1, 1)
+	rb, cb := r+d.dr, c+d.dc
+	envA = su.envWeightsAt(r, c, d.axisA)
+	envB = su.envWeightsAt(rb, cb, d.axisB)
 	a := applyEnvWeights(p.Site(r, c), envA, false)
-	a = scaleAxis(a, 3, su.HW[r][c], false) // absorb the shared lambda once
-	b := applyEnvWeights(p.Site(r, c+1), envB, false)
+	p.SetSite(r, c, scaleAxis(a, d.axisA, *su.bondWeights(d, r, c), false))
+	p.SetSite(rb, cb, applyEnvWeights(p.Site(rb, cb), envB, false))
+	return envA, envB
+}
 
-	na, nb, s := weightedPairUpdate(p, a, b, g4, rank, st, false)
-
+// storeWeights is the hook after a bond update: the singular values
+// become the bond's weights, the environment is divided back out of the
+// two sites, and both are rescaled to unit norm.
+func (su *SimpleUpdate) storeWeights(d *bondDir, r, c int, s []float64, envA, envB [4][]float64) {
+	p := su.State
+	rb, cb := r+d.dr, c+d.dc
 	w, scale := normalizeWeights(s)
-	su.HW[r][c] = w
+	*su.bondWeights(d, r, c) = w
 	if scale > 0 {
 		p.LogScale += math.Log(scale)
 	}
-	p.SetSite(r, c, applyEnvWeights(na, envA, true))
-	p.SetSite(r, c+1, applyEnvWeights(nb, envB, true))
+	p.SetSite(r, c, applyEnvWeights(p.Site(r, c), envA, true))
+	p.SetSite(rb, cb, applyEnvWeights(p.Site(rb, cb), envB, true))
 	p.normalizeSite(r, c)
-	p.normalizeSite(r, c+1)
-}
-
-// weightedVertical updates sites (r,c)-(r+1,c) with the gate's first
-// qubit on (r,c).
-func (su *SimpleUpdate) weightedVertical(g4 *tensor.Dense, r, c int, rank int, st einsumsvd.Strategy) {
-	p := su.State
-	envA := su.envWeightsAt(r, c, 2)
-	envB := su.envWeightsAt(r+1, c, 0)
-	a := applyEnvWeights(p.Site(r, c), envA, false)
-	a = scaleAxis(a, 2, su.VW[r][c], false)
-	b := applyEnvWeights(p.Site(r+1, c), envB, false)
-
-	na, nb, s := weightedPairUpdate(p, a, b, g4, rank, st, true)
-
-	w, scale := normalizeWeights(s)
-	su.VW[r][c] = w
-	if scale > 0 {
-		p.LogScale += math.Log(scale)
-	}
-	p.SetSite(r, c, applyEnvWeights(na, envA, true))
-	p.SetSite(r+1, c, applyEnvWeights(nb, envB, true))
-	p.normalizeSite(r, c)
-	p.normalizeSite(r+1, c)
-}
-
-// weightedPairUpdate runs the QR-SVD update on pre-weighted site tensors
-// with SigmaNone so the singular values come back as the new bond weights.
-// vertical selects the axis convention.
-func weightedPairUpdate(p *PEPS, a, b, g4 *tensor.Dense, rank int, st einsumsvd.Strategy, vertical bool) (*tensor.Dense, *tensor.Dense, []float64) {
-	if rank <= 0 {
-		rank = exactRank
-	}
-	st = withSigmaNone(st)
-	if vertical {
-		qa, ra := p.eng.QRSplit(a.Transpose(0, 1, 3, 2, 4), 3)
-		qb, rb := p.eng.QRSplit(b.Transpose(1, 2, 3, 0, 4), 3)
-		rka, rkb, s := einsumsvd.MustFactor(st, p.eng, "kxp,lxq,ijpq->kin|nlj", rank, ra, rb, g4)
-		na := p.eng.Einsum("abdk,kin->abndi", qa, rka)
-		nb := p.eng.Einsum("fghl,nlj->nfghj", qb, rkb)
-		return na, nb, s
-	}
-	qa, ra := p.eng.QRSplit(a, 3)
-	qb, rb := p.eng.QRSplit(b.Transpose(0, 2, 3, 1, 4), 3)
-	rka, rkb, s := einsumsvd.MustFactor(st, p.eng, "kxp,lxq,ijpq->kin|nlj", rank, ra, rb, g4)
-	na := p.eng.Einsum("abck,kin->abcni", qa, rka)
-	nb := p.eng.Einsum("efgl,nlj->enfgj", qb, rkb)
-	return na, nb, s
+	p.normalizeSite(rb, cb)
 }
 
 // withSigmaNone forces the strategy's sigma mode to SigmaNone.
@@ -314,59 +251,4 @@ func normalizeWeights(s []float64) ([]float64, float64) {
 		out[i] /= mx
 	}
 	return out, mx
-}
-
-// routedApplications returns the sequence of adjacent-pair applications
-// implementing a two-site gate on distant sites: SWAPs moving the second
-// qubit next to the first, the gate, and the SWAPs undone.
-type adjApp struct {
-	ra, ca, rb, cb int
-	gate           bool
-}
-
-func routedApplications(r1, c1, r2, c2 int) []adjApp {
-	type pos struct{ r, c int }
-	cur := pos{r2, c2}
-	var path []pos
-	for cur.c != c1 {
-		step := 1
-		if cur.c > c1 {
-			step = -1
-		}
-		next := pos{cur.r, cur.c + step}
-		if next.r == r1 && next.c == c1 {
-			break
-		}
-		path = append(path, next)
-		cur = next
-	}
-	for cur.r != r1 {
-		step := 1
-		if cur.r > r1 {
-			step = -1
-		}
-		next := pos{cur.r + step, cur.c}
-		if next.r == r1 && next.c == c1 {
-			break
-		}
-		path = append(path, next)
-		cur = next
-	}
-	var out []adjApp
-	prev := pos{r2, c2}
-	for _, nx := range path {
-		out = append(out, adjApp{prev.r, prev.c, nx.r, nx.c, false})
-		prev = nx
-	}
-	out = append(out, adjApp{r1, c1, prev.r, prev.c, true})
-	for i := len(path) - 1; i >= 0; i-- {
-		var back pos
-		if i == 0 {
-			back = pos{r2, c2}
-		} else {
-			back = path[i-1]
-		}
-		out = append(out, adjApp{path[i].r, path[i].c, back.r, back.c, false})
-	}
-	return out
 }
