@@ -105,8 +105,10 @@ bench-resume:
 	cmp $$tmp/a $$tmp/b; \
 	echo "bench-resume: resumed trace bit-identical to uninterrupted run"
 
-# Deterministic regression gate: rerun the fast evolution suites and
-# compare flops, comm bytes, modeled seconds, task counts, plan-cache
+# Deterministic regression gate: rerun the fast evolution suites, the
+# block-sparse suite and the two contraction suites (fig8a ~12 s, fig8b
+# ~4 s; ungated, the contraction path once overspent flops 2.9x unseen)
+# and compare flops, comm bytes, modeled seconds, task counts, plan-cache
 # hit rate, and health counters against the committed BENCH_*.json
 # baselines (wall clock is reported, never gated — CI boxes are noisy).
 # Then inject a regression into a baseline copy and require the gate to
@@ -116,7 +118,7 @@ bench-resume:
 bench-compare:
 	@tmp=$$(mktemp -d); trap "rm -rf $$tmp" EXIT; set -e; \
 	$(GO) build -o $$tmp/koala-bench ./cmd/koala-bench; \
-	$$tmp/koala-bench -compare . -metrics bench-compare-trace.jsonl fig7a fig7b sym; \
+	$$tmp/koala-bench -compare . -metrics bench-compare-trace.jsonl fig7a fig7b sym fig8a fig8b; \
 	sed -E 's/"flops": [0-9]+/"flops": 1/' BENCH_fig7a.json > $$tmp/BENCH_fig7a.json; \
 	status=0; $$tmp/koala-bench -compare $$tmp fig7a > $$tmp/inject.txt 2>&1 || status=$$?; \
 	if [ $$status -eq 0 ]; then \

@@ -75,6 +75,26 @@ func (*Dense) EinsumMixed(spec string, ops ...*tensor.Dense) *tensor.Dense {
 	return out
 }
 
+// IntoContractor is an optional Engine capability: a contraction whose
+// result is written into storage the caller supplies and recycles. It
+// replays the tape Einsum replays, so an engine without it — any wrapper
+// that only forwards the Engine methods — gives the same values bit for
+// bit from Einsum and merely allocates them. einsumsvd uses it for the
+// operator factors it forms once per factorization.
+type IntoContractor interface {
+	// EinsumInto contracts like Einsum, storing the result in dst, which
+	// must hold at least as many elements as the result has.
+	EinsumInto(dst []complex128, spec string, ops ...*tensor.Dense) *tensor.Dense
+}
+
+func (*Dense) EinsumInto(dst []complex128, spec string, ops ...*tensor.Dense) *tensor.Dense {
+	out, err := einsum.ContractInto(dst, spec, ops, einsum.Hooks{})
+	if err != nil {
+		panic("backend: " + err.Error())
+	}
+	return out
+}
+
 // RandSVD runs the implicit randomized SVD of paper Algorithm 4 using the
 // engine's orthogonalization kernel for the orthogonal-iteration steps.
 func RandSVD(e Engine, op linalg.Operator, rank int, nIter, oversample int, rng *rand.Rand) (*tensor.Dense, []float64, *tensor.Dense) {

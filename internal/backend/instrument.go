@@ -191,6 +191,19 @@ func (ie *Instrumented) EinsumMixed(spec string, ops ...*tensor.Dense) *tensor.D
 	return out
 }
 
+// EinsumInto forwards the caller-owned-destination capability while obs
+// is off. A traced run takes the Einsum path, with its spans and
+// counters, and lets the result be allocated: the values are the same.
+func (ie *Instrumented) EinsumInto(dst []complex128, spec string, ops ...*tensor.Dense) *tensor.Dense {
+	ic, ok := ie.inner.(IntoContractor)
+	if !ok || obs.Enabled() {
+		return ie.Einsum(spec, ops...)
+	}
+	out := ic.EinsumInto(dst, spec, ops...)
+	health.CheckTensor("backend.einsum", out)
+	return out
+}
+
 // checkFactorization scans the post-factorization outputs at the stage
 // boundary: both tensor factors and the real singular-value/weight
 // vector (where an ill-conditioned solve first shows NaN).

@@ -43,6 +43,7 @@ func DefaultFig8bConfig() Fig8Config {
 func ExperimentFig8(w io.Writer, cfg Fig8Config, dense bool) {
 	fmt.Fprintf(w, "Figure 8: contracting a %dx%d PEPS (no physical indices), m = r, %d ranks\n\n", cfg.N, cfg.N, cfg.Ranks)
 	t := NewTable("r", "algorithm", "engine", "wall_s", "modeled_s")
+	var timings []fig8Timing
 
 	type engineRow struct {
 		name string
@@ -85,6 +86,7 @@ func ExperimentFig8(w io.Writer, cfg Fig8Config, dense bool) {
 					modeled = er.grid.Snapshot().ModeledSeconds()
 				}
 				t.Add(r, a.name, er.eng.Name(), wall, modeled)
+				timings = append(timings, fig8Timing{r, a.name, er.eng.Name(), modeled})
 			}
 			// Two-layer IBMPS: only when r is a perfect square, contracting
 			// the inner product of a state with bond sqrt(r).
@@ -103,12 +105,82 @@ func ExperimentFig8(w io.Writer, cfg Fig8Config, dense bool) {
 					modeled = er.grid.Snapshot().ModeledSeconds()
 				}
 				t.Add(r, "2layer-ibmps", er.eng.Name(), wall, modeled)
+				timings = append(timings, fig8Timing{r, "2layer-ibmps", er.eng.Name(), modeled})
 			}
 		}
 	}
 	t.Print(w)
-	fmt.Fprintln(w, "\npaper shape: exact blows up fastest and stops early; IBMPS beats BMPS with a")
-	fmt.Fprintln(w, "factor growing in r; two-layer IBMPS is cheapest where applicable.")
+	fmt.Fprintln(w, "\npaper shape, against the rows above (modeled_s, which is wall_s on the dense engine):")
+	for _, line := range fig8Verdicts(timings) {
+		fmt.Fprintln(w, line)
+	}
+}
+
+// holds words the verdict on a paper relation checked against measured
+// rows.
+func holds(ok bool) string {
+	if ok {
+		return "holds"
+	}
+	return "does not hold"
+}
+
+// fig8Timing is one row of the Figure 8 table.
+type fig8Timing struct {
+	r         int
+	algorithm string
+	engine    string
+	seconds   float64
+}
+
+// fig8Verdicts checks the paper's two relations per engine, from the
+// measured rows alone: IBMPS beats BMPS by a factor that grows with r
+// (ratio at the largest r above 1 and above the ratio at the smallest r),
+// and two-layer IBMPS is the cheapest algorithm at the largest r it ran.
+func fig8Verdicts(rows []fig8Timing) []string {
+	at := func(engine, algorithm string, r int) (float64, bool) {
+		for _, x := range rows {
+			if x.engine == engine && x.algorithm == algorithm && x.r == r {
+				return x.seconds, true
+			}
+		}
+		return 0, false
+	}
+	var engines []string
+	rs := map[string][]int{} // per engine, the r values in table order
+	for _, x := range rows {
+		if x.algorithm != "bmps" {
+			continue
+		}
+		if _, ok := rs[x.engine]; !ok {
+			engines = append(engines, x.engine)
+		}
+		rs[x.engine] = append(rs[x.engine], x.r)
+	}
+	var out []string
+	for _, e := range engines {
+		bonds := rs[e]
+		lo, hi := bonds[0], bonds[len(bonds)-1]
+		ratio := func(r int) float64 {
+			b, _ := at(e, "bmps", r)
+			i, _ := at(e, "ibmps", r)
+			return b / i
+		}
+		out = append(out, fmt.Sprintf("  %s: bmps/ibmps = %.2f at r=%d and %.2f at r=%d; \"IBMPS beats BMPS with a factor growing in r\" %s",
+			e, ratio(lo), lo, ratio(hi), hi, holds(ratio(hi) > 1 && ratio(hi) > ratio(lo))))
+		for k := len(bonds) - 1; k >= 0; k-- {
+			two, ok := at(e, "2layer-ibmps", bonds[k])
+			if !ok {
+				continue
+			}
+			b, _ := at(e, "bmps", bonds[k])
+			i, _ := at(e, "ibmps", bonds[k])
+			out = append(out, fmt.Sprintf("  %s: at r=%d 2layer-ibmps %s s, bmps %s s, ibmps %s s; \"two-layer IBMPS is cheapest where applicable\" %s",
+				e, bonds[k], formatFloat(two), formatFloat(b), formatFloat(i), holds(two < b && two < i)))
+			break
+		}
+	}
+	return out
 }
 
 func isqrt(x int) int {

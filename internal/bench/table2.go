@@ -113,4 +113,25 @@ func ExperimentTable2(w io.Writer, cfg Table2Config) {
 		sb.Add(meth.name, logSlope(bs, flopsByMethodB[meth.name]))
 	}
 	sb.Print(w)
+
+	fmt.Fprintln(w, "\npaper ordering, against the rows above:")
+	for _, line := range table2Verdicts(cfg.Bonds, flopsByMethodB) {
+		fmt.Fprintln(w, line)
+	}
+}
+
+// table2Verdicts checks the paper's ordering on the bond sweep, from the
+// measured flops alone: explicit BMPS costs more than IBMPS at the
+// largest bond and by a factor that grew over the sweep, and two-layer
+// IBMPS costs no more than merged IBMPS there.
+func table2Verdicts(bonds []int, flops map[string][]float64) []string {
+	last := len(bonds) - 1
+	ratio := func(method string, i int) float64 { return flops[method][i] / flops["ibmps"][i] }
+	return []string{
+		fmt.Sprintf("  bmps/ibmps flops = %.2f at b=%d and %.2f at b=%d; \"BMPS costs more than IBMPS, by a factor growing in b\" %s",
+			ratio("bmps", 0), bonds[0], ratio("bmps", last), bonds[last],
+			holds(ratio("bmps", last) > 1 && ratio("bmps", last) > ratio("bmps", 0))),
+		fmt.Sprintf("  2layer-ibmps/ibmps flops = %.2f at b=%d; \"two-layer IBMPS costs no more than merged IBMPS\" %s",
+			ratio("2layer-ibmps", last), bonds[last], holds(ratio("2layer-ibmps", last) <= 1)),
+	}
 }

@@ -6,8 +6,9 @@
 // not in the output are summed out.
 //
 // Multi-operand contractions are reduced to a sequence of pairwise
-// contractions chosen greedily by estimated flop count; each pairwise
-// contraction is lowered to transposes plus one batched GEMM. Hooks allow
+// contractions in the order PlanPath chooses (flop-optimal for the
+// operand counts the lattice code uses); each pairwise contraction is
+// lowered to transposes plus one batched GEMM. Hooks allow
 // callers (the simulated distributed backend) to observe every GEMM and
 // every transpose's data movement for communication accounting.
 package einsum
@@ -127,6 +128,21 @@ func ContractWithHooks(spec string, ops []*tensor.Dense, h Hooks) (*tensor.Dense
 	return p.execute(ops, h)
 }
 
+// ContractInto is ContractWithHooks with the result written into dst,
+// which must hold at least as many elements as the result: the same plan
+// and the same tape, so the values are those of ContractWithHooks bit for
+// bit, with no storage allocated for them. It is for results whose
+// lifetime the caller manages (einsumsvd's hoisted operator factors).
+// When a replacement GEMM kernel produces the result itself, dst is left
+// unused.
+func ContractInto(dst []complex128, spec string, ops []*tensor.Dense, h Hooks) (*tensor.Dense, error) {
+	p, err := cachedPlan(planKindDense, spec, ops)
+	if err != nil {
+		return nil, err
+	}
+	return p.executeInto(dst, ops, h)
+}
+
 // contractUncached is the direct evaluation path the plan compiler
 // mirrors. It is kept as the reference implementation: equivalence tests
 // and benchmarks compare the cached plan path against it.
@@ -164,82 +180,7 @@ func contractUncached(spec string, ops []*tensor.Dense, h Hooks) (*tensor.Dense,
 		}
 	}
 
-	// Working set of (subscript, tensor) pairs.
-	type node struct {
-		subs string
-		t    *tensor.Dense
-	}
-	nodes := make([]node, len(ops))
-	for i := range ops {
-		nodes[i] = node{inputs[i], ops[i]}
-	}
-
-	// lettersNeeded reports the letters required by the output or by nodes
-	// other than i and j.
-	lettersNeeded := func(i, j int) map[byte]bool {
-		need := map[byte]bool{}
-		for _, c := range []byte(output) {
-			need[c] = true
-		}
-		for k, n := range nodes {
-			if k == i || k == j {
-				continue
-			}
-			for _, c := range []byte(n.subs) {
-				need[c] = true
-			}
-		}
-		return need
-	}
-
-	for len(nodes) > 1 {
-		// Greedy: pick the pair with the smallest estimated flop count
-		// (product of dims of the union of their subscripts).
-		bi, bj := 0, 1
-		best := -1.0
-		for i := 0; i < len(nodes); i++ {
-			for j := i + 1; j < len(nodes); j++ {
-				cost := 1.0
-				seen := map[byte]bool{}
-				for _, c := range []byte(nodes[i].subs + nodes[j].subs) {
-					if !seen[c] {
-						seen[c] = true
-						cost *= float64(dims[c])
-					}
-				}
-				if best < 0 || cost < best {
-					best, bi, bj = cost, i, j
-				}
-			}
-		}
-		need := lettersNeeded(bi, bj)
-		subs, t := contractPair(nodes[bi].subs, nodes[bi].t, nodes[bj].subs, nodes[bj].t, need, dims, h)
-		nodes[bi] = node{subs, t}
-		nodes = append(nodes[:bj], nodes[bj+1:]...)
-	}
-
-	res := nodes[0]
-	// Sum out any letters not in the output, then permute to output order.
-	res.subs, res.t = sumOut(res.subs, res.t, letterSet(output), h)
-	if res.subs == output {
-		// An identity spec can pass the input tensor straight through;
-		// clone so the result never aliases caller-owned data.
-		for _, op := range ops {
-			if res.t == op {
-				return res.t.Clone(), nil
-			}
-		}
-		return res.t, nil
-	}
-	perm := make([]int, len(output))
-	for i := 0; i < len(output); i++ {
-		p := strings.IndexByte(res.subs, output[i])
-		if p < 0 {
-			return nil, fmt.Errorf("einsum %q: internal error, letter %q lost", spec, string(output[i]))
-		}
-		perm[i] = p
-	}
-	return maybeTranspose(res.t, perm, h), nil
+	return contractAlongPath(spec, inputs, output, dims, ops, PlanPath(inputs, dims, output), h)
 }
 
 // parseSpec splits "ab,bc->ac" into input subscripts and the output

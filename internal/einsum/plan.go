@@ -10,7 +10,7 @@ import (
 )
 
 // This file compiles a contraction into a replayable Plan. All the
-// decisions Contract makes — the greedy pairwise order, which private
+// decisions Contract makes — the pairwise order (PlanPath), which private
 // letters to sum out, every transpose permutation, and the shape of
 // every batched GEMM — depend only on the spec and the operand shapes,
 // never on element values. Compiling resolves them once into a linear
@@ -283,48 +283,11 @@ func Compile(spec string, shapes [][]int) (*Plan, error) {
 		nodes[i] = symNode{inputs[i], i, p.inShapes[i]}
 	}
 
-	// lettersNeeded reports the letters required by the output or by nodes
-	// other than i and j.
-	lettersNeeded := func(i, j int) map[byte]bool {
-		need := map[byte]bool{}
-		for _, c := range []byte(output) {
-			need[c] = true
-		}
-		for k, n := range nodes {
-			if k == i || k == j {
-				continue
-			}
-			for _, c := range []byte(n.subs) {
-				need[c] = true
-			}
-		}
-		return need
-	}
-
-	for len(nodes) > 1 {
-		// Greedy: pick the pair with the smallest estimated flop count
-		// (product of dims of the union of their subscripts) — byte for
-		// byte the same selection Contract has always made.
-		bi, bj := 0, 1
-		best := -1.0
-		for i := 0; i < len(nodes); i++ {
-			for j := i + 1; j < len(nodes); j++ {
-				cost := 1.0
-				seen := map[byte]bool{}
-				for _, c := range []byte(nodes[i].subs + nodes[j].subs) {
-					if !seen[c] {
-						seen[c] = true
-						cost *= float64(dims[c])
-					}
-				}
-				if best < 0 || cost < best {
-					best, bi, bj = cost, i, j
-				}
-			}
-		}
-		need := lettersNeeded(bi, bj)
-		nodes[bi] = symContractPair(nodes[bi], nodes[bj], need)
-		nodes = append(nodes[:bj], nodes[bj+1:]...)
+	for _, step := range PlanPath(inputs, dims, output) {
+		i, j := step[0], step[1]
+		need := lettersNeeded(output, len(nodes), func(k int) string { return nodes[k].subs }, i, j)
+		nodes[i] = symContractPair(nodes[i], nodes[j], need)
+		nodes = append(nodes[:j], nodes[j+1:]...)
 	}
 
 	// Sum out letters absent from the output, then permute to output order.
@@ -589,6 +552,13 @@ func (p *Plan) Execute(ops ...*tensor.Dense) (*tensor.Dense, error) {
 }
 
 func (p *Plan) execute(ops []*tensor.Dense, h Hooks) (*tensor.Dense, error) {
+	return p.executeInto(nil, ops, h)
+}
+
+// executeInto replays the tape. The result is the one tensor that
+// escapes: its storage is allocated per execution, or is dst when the
+// caller supplies it (ContractInto).
+func (p *Plan) executeInto(dst []complex128, ops []*tensor.Dense, h Hooks) (*tensor.Dense, error) {
 	if len(ops) != p.nIn {
 		return nil, fmt.Errorf("einsum %q: plan compiled for %d operands, got %d", p.spec, p.nIn, len(ops))
 	}
@@ -596,6 +566,9 @@ func (p *Plan) execute(ops []*tensor.Dense, h Hooks) (*tensor.Dense, error) {
 		if !tensor.SameShape(op.Shape(), p.inShapes[i]) {
 			return nil, fmt.Errorf("einsum %q: operand %d has shape %v, plan compiled for %v", p.spec, i, op.Shape(), p.inShapes[i])
 		}
+	}
+	if dst != nil && int64(len(dst))*bytesPerElem < p.outBytes {
+		return nil, fmt.Errorf("einsum %q: destination holds %d elements, result has %d", p.spec, len(dst), p.outBytes/bytesPerElem)
 	}
 	// Working-set accounting: the checked-out scratch frame plus the
 	// result under construction count as live until the frame returns to
@@ -612,7 +585,11 @@ func (p *Plan) execute(ops []*tensor.Dense, h Hooks) (*tensor.Dense, error) {
 		op := &p.ops[i]
 		w := fr.outs[i]
 		if op.dst == p.out {
-			w = tensor.Wrap(make([]complex128, op.size), op.shape)
+			out := dst
+			if out == nil {
+				out = make([]complex128, op.size)
+			}
+			w = tensor.Wrap(out[:op.size], op.shape)
 		}
 		buf := w.Data()
 		switch op.kind {

@@ -1,10 +1,10 @@
 // Block-sparse einsum: contraction of charge-symmetric tensors
 // (tensor.Sym) sector block by sector block. The spec language is the
-// dense one; the multi-operand reduction uses the same greedy pairwise
-// order, and every surviving block pair is contracted with the ordinary
-// dense machinery — compiled plans (cached under their own plan kind),
-// fused batched GEMMs, and the caller's hooks — so the per-block kernels
-// are exactly the dense ones.
+// dense one; the multi-operand reduction takes the dense planner's
+// pairwise order (PlanPath), and every surviving block pair is
+// contracted with the ordinary dense machinery — compiled plans (cached
+// under their own plan kind), fused batched GEMMs, and the caller's
+// hooks — so the per-block kernels are exactly the dense ones.
 //
 // Restrictions beyond dense einsum, all rooted in charge conservation:
 //
@@ -176,49 +176,17 @@ func ContractSymWithHooks(spec string, ops []*tensor.Sym, h Hooks) (*tensor.Sym,
 	for i := range ops {
 		nodes[i] = symNode{inputs[i], ops[i]}
 	}
-	lettersNeeded := func(i, j int) map[byte]bool {
-		need := map[byte]bool{}
-		for _, c := range []byte(output) {
-			need[c] = true
-		}
-		for k, n := range nodes {
-			if k == i || k == j {
-				continue
-			}
-			for _, c := range []byte(n.subs) {
-				need[c] = true
-			}
-		}
-		return need
-	}
-
-	for len(nodes) > 1 {
-		// Same greedy pair choice as the dense path, on embedded dims, so
-		// the dense-equivalent flop accounting compares like with like.
-		bi, bj := 0, 1
-		best := -1.0
-		for i := 0; i < len(nodes); i++ {
-			for j := i + 1; j < len(nodes); j++ {
-				c := 1.0
-				seen := map[byte]bool{}
-				for _, ch := range []byte(nodes[i].subs + nodes[j].subs) {
-					if !seen[ch] {
-						seen[ch] = true
-						c *= float64(dims[ch])
-					}
-				}
-				if best < 0 || c < best {
-					best, bi, bj = c, i, j
-				}
-			}
-		}
-		need := lettersNeeded(bi, bj)
-		subs, t, err := contractSymPair(spec, nodes[bi].subs, nodes[bi].t, nodes[bj].subs, nodes[bj].t, need, dims, inner, &cost)
+	// The dense planner's order on the embedded dims, so the
+	// dense-equivalent flop accounting compares like with like.
+	for _, step := range PlanPath(inputs, dims, output) {
+		i, j := step[0], step[1]
+		need := lettersNeeded(output, len(nodes), func(k int) string { return nodes[k].subs }, i, j)
+		subs, t, err := contractSymPair(spec, nodes[i].subs, nodes[i].t, nodes[j].subs, nodes[j].t, need, dims, inner, &cost)
 		if err != nil {
 			return nil, cost, err
 		}
-		nodes[bi] = symNode{subs, t}
-		nodes = append(nodes[:bj], nodes[bj+1:]...)
+		nodes[i] = symNode{subs, t}
+		nodes = append(nodes[:j], nodes[j+1:]...)
 	}
 
 	res := nodes[0]

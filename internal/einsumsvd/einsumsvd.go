@@ -116,11 +116,12 @@ func MustFactor(st Strategy, eng backend.Engine, spec string, rank int, ops ...*
 }
 
 // splitSpec holds the compiled form of a split spec for one set of
-// operand shapes. It is shared by every Factor call of that signature
-// and never modified after parse returns.
+// operand shapes. It is shared by every Factor call of that signature;
+// everything but the operator plans is fixed when parse returns.
 type splitSpec struct {
-	inputs     string // comma-joined input subscripts
-	out1, out2 string // output subscripts including the new letter
+	subs       []string     // input subscripts
+	dims       map[byte]int // letter -> dimension
+	out1, out2 string       // output subscripts including the new letter
 	newLetter  byte
 	row, col   string // out1/out2 with the new letter removed
 	rowDims    []int
@@ -128,11 +129,16 @@ type splitSpec struct {
 	rowSize    int
 	colSize    int
 
-	// The einsum specs a factorization evaluates: the full contraction to
-	// the row|col matricization (explicit path), and the network applied
-	// to a block vector and its adjoint (implicit path), the block's
-	// column index carried by a letter the spec leaves free.
-	fullSpec, applySpec, adjSpec string
+	// fullSpec is the contraction to the row|col matricization the
+	// explicit path evaluates. The implicit path applies the network to
+	// block vectors whose column index is carried by blockLetter, a letter
+	// the spec leaves free, through the contractions of an operatorPlan
+	// chosen per sketch width and iteration count (operator.go).
+	fullSpec    string
+	blockLetter byte
+
+	planMu sync.Mutex
+	plans  map[planKey]*operatorPlan
 }
 
 func shapesOf[T interface{ Shape() []int }](ops []T) [][]int {
@@ -213,6 +219,7 @@ func parse(spec string, shapes [][]int) (*splitSpec, error) {
 	dims := map[byte]int{}
 	for i, subs := range subsList {
 		subs = strings.TrimSpace(subs)
+		subsList[i] = subs
 		if len(subs) != len(shapes[i]) {
 			return nil, fmt.Errorf("operand %d rank %d does not match subscript %q", i, len(shapes[i]), subs)
 		}
@@ -263,7 +270,7 @@ func parse(spec string, shapes [][]int) (*splitSpec, error) {
 		}
 	}
 
-	p := &splitSpec{inputs: inputs, out1: out1, out2: out2, newLetter: newLetter, row: row, col: col}
+	p := &splitSpec{subs: subsList, dims: dims, out1: out1, out2: out2, newLetter: newLetter, row: row, col: col}
 	p.rowSize, p.colSize = 1, 1
 	for i := 0; i < len(row); i++ {
 		d := dims[row[i]]
@@ -290,10 +297,8 @@ func parse(spec string, shapes [][]int) (*splitSpec, error) {
 	if free == 0 {
 		return nil, fmt.Errorf("no free subscript letter available")
 	}
-	z := string(free)
 	p.fullSpec = inputs + "->" + row + col
-	p.applySpec = inputs + "," + col + z + "->" + row + z
-	p.adjSpec = inputs + "," + row + z + "->" + col + z
+	p.blockLetter = free
 	return p, nil
 }
 
@@ -388,83 +393,6 @@ func (e Explicit) Factor(eng backend.Engine, spec string, rank int, ops ...*tens
 	return a, b, s, nil
 }
 
-// networkOperator applies the uncontracted network as a linear operator
-// from the col index group to the row index group. It serves one
-// factorization, from one goroutine: args is the operand list of its
-// contractions with the last slot left for the block vector of the call
-// at hand.
-type networkOperator struct {
-	eng  backend.Engine
-	p    *splitSpec
-	args []*tensor.Dense
-}
-
-func newNetworkOperator(eng backend.Engine, p *splitSpec, ops []*tensor.Dense) *networkOperator {
-	o := &networkOperator{eng: eng, p: p, args: make([]*tensor.Dense, len(ops)+1)}
-	copy(o.args, ops)
-	return o
-}
-
-func (o *networkOperator) Rows() int { return o.p.rowSize }
-func (o *networkOperator) Cols() int { return o.p.colSize }
-
-// apply contracts the network into the block vector q through contract,
-// the engine's einsum or a reduced-precision one. The adjoint runs the
-// transposed contraction on the same operands, A* q = conj(A^T conj(q)):
-// conjugating the block and the result is two passes over a block
-// vector, where conjugating the network copied every operand of every
-// factorization — the bra sites a boundary sweep had conjugated once
-// already included.
-func (o *networkOperator) apply(contract func(string, ...*tensor.Dense) *tensor.Dense, adjoint bool, q *tensor.Dense) *tensor.Dense {
-	spec, in, out := o.p.applySpec, o.p.colDims, o.p.rowSize
-	if adjoint {
-		spec, in, out = o.p.adjSpec, o.p.rowDims, o.p.colSize
-		q = q.Conj()
-	}
-	r := q.Dim(1)
-	o.args[len(o.args)-1] = q.Reshape(append(in[:len(in):len(in)], r)...)
-	res := contract(spec, o.args...).Reshape(out, r)
-	if adjoint {
-		res.ConjInPlace() // the contraction's own result, shared with no one
-	}
-	return res
-}
-
-func (o *networkOperator) Apply(q *tensor.Dense) *tensor.Dense {
-	return o.apply(o.eng.Einsum, false, q)
-}
-
-func (o *networkOperator) ApplyAdjoint(pv *tensor.Dense) *tensor.Dense {
-	return o.apply(o.eng.Einsum, true, pv)
-}
-
-// mixedEinsum routes a contraction through the engine's complex64 GEMM
-// path when the engine has one, full precision otherwise — the sketch
-// option must degrade to a no-op on engines (Sym, Dist) that cannot
-// compute in reduced precision.
-func (o *networkOperator) mixedEinsum(spec string, ops ...*tensor.Dense) *tensor.Dense {
-	if mc, ok := o.eng.(backend.MixedContractor); ok {
-		return mc.EinsumMixed(spec, ops...)
-	}
-	return o.eng.Einsum(spec, ops...)
-}
-
-// ApplySketch and ApplyAdjointSketch implement linalg.SketchApplier:
-// the same network contractions as Apply/ApplyAdjoint with the batched
-// GEMMs in complex64.
-func (o *networkOperator) ApplySketch(q *tensor.Dense) *tensor.Dense {
-	return o.apply(o.mixedEinsum, false, q)
-}
-
-func (o *networkOperator) ApplyAdjointSketch(pv *tensor.Dense) *tensor.Dense {
-	return o.apply(o.mixedEinsum, true, pv)
-}
-
-var (
-	_ linalg.Operator      = (*networkOperator)(nil)
-	_ linalg.SketchApplier = (*networkOperator)(nil)
-)
-
 // Factor implements Strategy for the implicit randomized-SVD path.
 func (ir ImplicitRand) Factor(eng backend.Engine, spec string, rank int, ops ...*tensor.Dense) (*tensor.Dense, *tensor.Dense, []float64, error) {
 	if ir.Rng == nil {
@@ -482,8 +410,10 @@ func (ir ImplicitRand) Factor(eng backend.Engine, spec string, rank int, ops ...
 	if oversample == 0 {
 		oversample = 4
 	}
-	op := newNetworkOperator(eng, p, ops)
+	width := linalg.SketchWidth(rank, oversample, p.rowSize, p.colSize)
+	op := newNetworkOperator(eng, p, p.operatorPlan(width, nIter), ops)
 	u, s, v, rep := backend.RandSVDChecked(eng, op, rank, nIter, oversample, ir.Rng, ir.FallbackTol, ir.Sketch32)
+	op.release()
 	if !rep.Converged && ir.FallbackTol >= 0 {
 		// The sketch missed too much of the operator: degrade to the
 		// exact contract-then-SVD path. The probe and this decision are

@@ -220,8 +220,7 @@ func TestSigmaNoneFactorsAreIsometries(t *testing.T) {
 }
 
 // TestCompiledSplitSpecCache checks the split-spec memo: one compiled
-// form per (spec, operand shapes), carrying the three derived einsum
-// specs; a parse error is returned every time and never cached; and
+// form per (spec, operand shapes), carrying the derived einsum specs; a parse error is returned every time and never cached; and
 // einsum.ResetPlanCache, which the benchmark calls before every pass,
 // returns it to a cold start together with the plans. Eight goroutines
 // look the same signatures up at once for the race detector.
@@ -234,10 +233,11 @@ func TestCompiledSplitSpecCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	implicit, _ := p.decompose([]int{0, 1, 2, 3}, 8, 1)
 	if p.fullSpec != "gbcC,buUe,ucdrp,UCDRp->gdDerR" ||
-		p.applySpec != "gbcC,buUe,ucdrp,UCDRp,erRz->gdDz" ||
-		p.adjSpec != "gbcC,buUe,ucdrp,UCDRp,gdDz->erRz" {
-		t.Fatalf("derived specs %q, %q, %q", p.fullSpec, p.applySpec, p.adjSpec)
+		implicit.applySpec != "gbcC,buUe,ucdrp,UCDRp,erRz->gdDz" ||
+		implicit.adjSpec != "gdDz,gbcC,buUe,ucdrp,UCDRp->erRz" {
+		t.Fatalf("derived specs %q, %q, %q", p.fullSpec, implicit.applySpec, implicit.adjSpec)
 	}
 	if p.rowSize != 16 || p.colSize != 16 {
 		t.Fatalf("matricization %d x %d, want 16 x 16", p.rowSize, p.colSize)

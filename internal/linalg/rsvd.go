@@ -131,11 +131,21 @@ func RandSVDReport(op Operator, rank int, opts RandSVDOptions, tol float64) (u *
 	return randSVD(op, rank, opts, true, tol)
 }
 
-// probeColumns is the width of the probe block in RandSVDReport: two
+// SketchWidth is the number of sketch columns RandSVD draws for a
+// rank-`rank` factorization of an m-by-n operator: the rank, capped by
+// the operator, plus the oversampling, capped again. Operators that plan
+// their applications ahead (einsumsvd's) size them with it.
+func SketchWidth(rank, oversample, m, n int) int {
+	small := min(m, n)
+	return min(min(rank, small)+oversample, small)
+}
+
+// ProbeColumns is the width of the probe block in RandSVDReport: two
 // independent Gaussian probes make the odds of both being near-orthogonal
-// to a missed dominant direction negligible, at the cost of two extra
-// operator applications.
-const probeColumns = 2
+// to a missed dominant direction negligible, at the cost of one extra
+// operator application of that width (which an operator that plans its
+// applications, einsumsvd's, has to count).
+const ProbeColumns = 2
 
 func randSVD(op Operator, rank int, opts RandSVDOptions, probe bool, tol float64) (u *tensor.Dense, s []float64, v *tensor.Dense, rep Report) {
 	if opts.Rng == nil {
@@ -150,7 +160,7 @@ func randSVD(op Operator, rank int, opts RandSVDOptions, probe bool, tol float64
 	if k <= 0 {
 		panic(fmt.Sprintf("linalg: RandSVD rank %d invalid for %d x %d operator", rank, m, n))
 	}
-	r := min(k+opts.Oversample, min(m, n))
+	r := SketchWidth(rank, opts.Oversample, m, n)
 
 	apply, applyAdjoint := op.Apply, op.ApplyAdjoint
 	if opts.Sketch32 {
@@ -196,7 +206,7 @@ type probeKey struct{ m, n, k int }
 
 const maxProbeBlocks = 256
 
-// probeBlock returns the n-by-probeColumns probe block for an m-by-n
+// probeBlock returns the n-by-ProbeColumns probe block for an m-by-n
 // operator sketched at rank k. Its rng is seeded purely from the problem
 // dimensions so the check is deterministic and does not consume the
 // caller's random stream.
@@ -209,7 +219,7 @@ func probeBlock(m, n, k int) *tensor.Dense {
 		return b
 	}
 	seed := int64(0x1E3779B97F4A7C15) ^ int64(m)<<40 ^ int64(n)<<20 ^ int64(k)
-	b = tensor.Rand(rand.New(rand.NewSource(seed)), n, probeColumns)
+	b = tensor.Rand(rand.New(rand.NewSource(seed)), n, ProbeColumns)
 	probeMu.Lock()
 	if len(probeBlocks) >= maxProbeBlocks {
 		clear(probeBlocks)
