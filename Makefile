@@ -25,6 +25,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+	@# Span parents travel by handle: nothing in the observability core may
+	@# read the goroutine id back out of a stack dump again. (pool's
+	@# debug.Stack() in the task-panic report is a different call.)
+	@if grep -n 'runtime\.Stack' $$(ls internal/obs/*.go internal/telemetry/*.go internal/pool/*.go | grep -v _test.go); then \
+		echo "vet: runtime.Stack in internal/obs, internal/telemetry or internal/pool"; exit 1; fi
 
 check: build vet test race
 
@@ -43,15 +48,21 @@ bench:
 
 # One-iteration pass over every benchmark in the repo: catches bit-rot
 # in benchmark code without burning CI minutes on timing. Also exercises
-# the live telemetry plane end to end (telemetry-smoke).
+# the live telemetry plane end to end (telemetry-smoke), and closes with
+# the tracing Off/Spans pair at enough iterations to read their ratio —
+# the on-cost of spans, in every CI log (budget: DESIGN.md section 6).
 bench-smoke: telemetry-smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkObs(Off|Spans)J1J2' -benchtime 20x .
 
 # Live-telemetry smoke: start an ITE run with -listen on an ephemeral
 # port, attach koala-obs watch -once mid-run (which validates the
 # /metrics exposition with the strict parser and decodes /healthz),
 # require the physics series to be present and health to be ok, then
-# SIGINT the run and require a clean graceful exit.
+# SIGINT the run and require a clean graceful exit. Then the bill: the
+# J1-J2 4x4 ITE run with and without -listen (best of three each) — a
+# monitor reads the registry and must not slow the run it watches by more
+# than 1.5x (it once cost 11x, building 20k spans per step for no reader).
 telemetry-smoke:
 	@tmp=$$(mktemp -d); trap "rm -rf $$tmp" EXIT; set -e; \
 	$(GO) build -o $$tmp/koala-ite ./cmd/koala-ite; \
@@ -78,7 +89,14 @@ telemetry-smoke:
 		cat $$tmp/err.txt; exit 1; fi; \
 	grep -q '^interrupted: stopped gracefully' $$tmp/run.txt || { \
 		echo "telemetry-smoke: no graceful-stop report"; cat $$tmp/run.txt; exit 1; }; \
-	echo "telemetry-smoke: validated /metrics + /healthz mid-run, graceful SIGINT stop"
+	echo "telemetry-smoke: validated /metrics + /healthz mid-run, graceful SIGINT stop"; \
+	run="$$tmp/koala-ite -model j1j2 -rows 4 -cols 4 -r 2 -m 4 -steps 10 -every 1 -reference=false"; \
+	best() { b=""; for i in 1 2 3; do s=$$(date +%s%N); "$$@" > /dev/null; e=$$(( ($$(date +%s%N) - s) / 1000000 )); \
+		if [ -z "$$b" ] || [ $$e -lt $$b ]; then b=$$e; fi; done; echo $$b; }; \
+	bare=$$(best $$run); mon=$$(best $$run -listen 127.0.0.1:0); \
+	echo "telemetry-smoke: bare $${bare} ms, -listen $${mon} ms"; \
+	if [ $$(( mon * 2 )) -gt $$(( bare * 3 )) ]; then \
+		echo "telemetry-smoke: -listen run slower than 1.5x the bare run"; exit 1; fi
 
 # The lattice task scheduler's end-to-end benchmarks, once, at a
 # multi-worker pool size: catches panics and scheduling deadlocks that

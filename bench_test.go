@@ -15,6 +15,7 @@ import (
 	"gokoala/internal/dist"
 	"gokoala/internal/einsumsvd"
 	"gokoala/internal/ite"
+	"gokoala/internal/obs"
 	"gokoala/internal/peps"
 	"gokoala/internal/quantum"
 	"gokoala/internal/rqc"
@@ -254,6 +255,39 @@ func BenchmarkExpectationCachedJ1J2(b *testing.B) {
 		state.EnergyPerSite(obs, peps.ExpectationOptions{M: 4, Strategy: implicitStrategy(int64(i)), UseCache: true})
 	}
 }
+
+// dropSink delivers every span to nobody: what building, linking and
+// ending a span costs, with no consumer's cost on top.
+type dropSink struct{}
+
+func (dropSink) SpanEnd(obs.Event) {}
+func (dropSink) Flush() error      { return nil }
+
+// benchmarkObsJ1J2 is BenchmarkExpectationCachedJ1J2 on an instrumented
+// engine, with collection off or on with the given sinks. `make
+// bench-smoke` prints the Off/Spans pair, so the on-cost of tracing is in
+// every CI log: the ratio of the two is what DESIGN.md section 6 budgets.
+func benchmarkObsJ1J2(b *testing.B, on bool, sinks ...obs.Sink) {
+	h := quantum.J1J2Heisenberg(4, 4, quantum.PaperJ1J2Params())
+	eng := backend.Instrument(backend.NewDense())
+	state := ite.PlusState(peps.ComputationalZeros(eng, 4, 4))
+	gates := h.TrotterGates(complex(-0.05, 0))
+	for i := 0; i < 20; i++ {
+		state.ApplyCircuit(gates, peps.UpdateOptions{Rank: 2, Method: peps.UpdateQR, Normalize: true})
+	}
+	if on {
+		obs.Enable(sinks...)
+		defer obs.Disable()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		state.EnergyPerSite(h, peps.ExpectationOptions{M: 4, Strategy: implicitStrategy(int64(i)), UseCache: true})
+	}
+}
+
+func BenchmarkObsOffJ1J2(b *testing.B)   { benchmarkObsJ1J2(b, false) }
+func BenchmarkObsSpansJ1J2(b *testing.B) { benchmarkObsJ1J2(b, true, dropSink{}) }
 
 // --- lattice task scheduler: worker-count scaling benchmarks ---
 //

@@ -126,7 +126,8 @@ func main() {
 			closers = append(closers, f)
 			sinks = append(sinks, obs.NewJSONLSink(f))
 		}
-		obs.Enable(sinks...)
+		// The per-suite phase breakdown below is a sink like the files.
+		obs.Enable(append(sinks, obs.PhaseSummary())...)
 		if *rankTrace != "" {
 			rc, err := cliutil.EnableRankTrace(*rankTrace)
 			if err != nil {

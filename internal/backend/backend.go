@@ -67,8 +67,14 @@ type MixedContractor interface {
 	EinsumMixed(spec string, ops ...*tensor.Dense) *tensor.Dense
 }
 
-func (*Dense) EinsumMixed(spec string, ops ...*tensor.Dense) *tensor.Dense {
-	out, err := einsum.ContractWithHooks(spec, ops, einsum.Hooks{GEMM: tensor.BatchMatMulMixed})
+func (d *Dense) EinsumMixed(spec string, ops ...*tensor.Dense) *tensor.Dense {
+	return contract(nil, spec, ops, d.hooks(true))
+}
+
+// contract evaluates spec with an engine's hooks, into dst when that is
+// non-nil, panicking on a malformed spec like every Engine.Einsum.
+func contract(dst []complex128, spec string, ops []*tensor.Dense, h einsum.Hooks) *tensor.Dense {
+	out, err := einsum.ContractInto(dst, spec, ops, h)
 	if err != nil {
 		panic("backend: " + err.Error())
 	}
@@ -87,12 +93,8 @@ type IntoContractor interface {
 	EinsumInto(dst []complex128, spec string, ops ...*tensor.Dense) *tensor.Dense
 }
 
-func (*Dense) EinsumInto(dst []complex128, spec string, ops ...*tensor.Dense) *tensor.Dense {
-	out, err := einsum.ContractInto(dst, spec, ops, einsum.Hooks{})
-	if err != nil {
-		panic("backend: " + err.Error())
-	}
-	return out
+func (d *Dense) EinsumInto(dst []complex128, spec string, ops ...*tensor.Dense) *tensor.Dense {
+	return contract(dst, spec, ops, d.hooks(false))
 }
 
 // RandSVD runs the implicit randomized SVD of paper Algorithm 4 using the

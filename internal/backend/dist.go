@@ -55,7 +55,7 @@ const bytesPerElem = 16
 // ScaLAPACK-style distributed SVD, which scales far worse than GEMM.
 const svdEffRanks = 16
 
-func (d *Dist) hooks() einsum.Hooks {
+func (d *Dist) hooks(bool) einsum.Hooks {
 	return einsum.Hooks{
 		OnMove: func(elements int) {
 			d.Grid.AllToAll(int64(elements) * bytesPerElem)
@@ -64,17 +64,8 @@ func (d *Dist) hooks() einsum.Hooks {
 	}
 }
 
-// Hooks exposes the einsum hooks that route a contraction's primitives
-// through the grid, so decorators (backend.Instrument) can chain their
-// own observers onto the same contraction.
-func (d *Dist) Hooks() einsum.Hooks { return d.hooks() }
-
 func (d *Dist) Einsum(spec string, ops ...*tensor.Dense) *tensor.Dense {
-	out, err := einsum.ContractWithHooks(spec, ops, d.hooks())
-	if err != nil {
-		panic("backend: " + err.Error())
-	}
-	return out
+	return contract(nil, spec, ops, d.hooks(false))
 }
 
 // QRSplit factors a tensor with the first leftAxes axes as rows.

@@ -4,7 +4,6 @@ import (
 	"gokoala/internal/einsum"
 	"gokoala/internal/health"
 	"gokoala/internal/obs"
-	"gokoala/internal/telemetry"
 	"gokoala/internal/tensor"
 )
 
@@ -40,82 +39,55 @@ func checkSymTensor(stage string, t *tensor.Sym) {
 }
 
 func (ie *InstrumentedSym) SymEinsum(spec string, ops ...*tensor.Sym) *tensor.Sym {
-	if !obs.Enabled() {
-		out := ie.symInner.SymEinsum(spec, ops...)
-		checkSymTensor("backend.symeinsum", out)
-		return out
-	}
-	sp := obs.Start("einsum.sym").SetStr("spec", spec)
-	before := ie.statsBefore()
-	flopsBefore := tensor.FlopCount()
-	obsContracts.Add(1)
+	reg := ie.begin("einsum.sym")
+	reg.sp.SetStr("spec", spec)
 	var out *tensor.Sym
-	var cost einsum.SymCost
-	var err error
-	if _, ok := ie.inner.(*Dense); ok {
-		out, cost, err = einsum.ContractSymWithHooks(spec, ops, obsHooks(tensor.BatchMatMul))
+	if _, ok := ie.inner.(*Dense); ok && obs.Enabled() {
+		// The dense engine's own path with the counting observers added.
+		var cost einsum.SymCost
+		var err error
+		out, cost, err = einsum.ContractSymWithHooks(spec, ops, countingHooks)
+		if err != nil {
+			reg.sp.End()
+			panic("backend: " + err.Error())
+		}
+		obsSymBlocks.Add(cost.Blocks)
+		obsSymFlops.Add(cost.Flops)
+		obsSymDenseFlops.Add(cost.DenseFlops)
+		reg.sp.SetInt("blocks", cost.Blocks)
+		reg.sp.SetInt("sectors", int64(cost.MaxSectors))
+		reg.sp.SetInt("dense_equiv_flops", cost.DenseFlops)
+		obs.Observe("einsum.sym.sectors", float64(cost.MaxSectors))
 	} else {
-		// Unknown sym engine: time the call but let it run its own path.
 		out = ie.symInner.SymEinsum(spec, ops...)
 	}
-	if err != nil {
-		sp.End()
-		panic("backend: " + err.Error())
-	}
+	obsContracts.Add(1)
 	obsSymContracts.Add(1)
-	obsSymBlocks.Add(cost.Blocks)
-	obsSymFlops.Add(cost.Flops)
-	obsSymDenseFlops.Add(cost.DenseFlops)
-	sp.SetInt("blocks", cost.Blocks)
-	sp.SetInt("sectors", int64(cost.MaxSectors))
-	sp.SetInt("dense_equiv_flops", cost.DenseFlops)
-	if telemetry.Active() {
-		telemetry.Observe("einsum.sym.sectors", float64(cost.MaxSectors))
-	}
-	ie.annotate(sp, before)
-	setFlops(sp, flopsBefore)
-	sp.End()
+	ie.end(reg)
 	checkSymTensor("backend.symeinsum", out)
 	return out
 }
 
 func (ie *InstrumentedSym) SymQRSplit(t *tensor.Sym, leftAxes int) (*tensor.Sym, *tensor.Sym) {
-	if !obs.Enabled() {
-		q, r := ie.symInner.SymQRSplit(t, leftAxes)
-		checkSymTensor("backend.symqrsplit", q)
-		checkSymTensor("backend.symqrsplit", r)
-		return q, r
-	}
-	sp := obs.Start("backend.symqrsplit")
-	before := ie.statsBefore()
-	flopsBefore := tensor.FlopCount()
+	reg := ie.begin("backend.symqrsplit")
 	q, r := ie.symInner.SymQRSplit(t, leftAxes)
-	sp.SetInt("sectors", int64(q.Leg(q.Rank()-1).NumSectors()))
-	ie.annotate(sp, before)
-	setFlops(sp, flopsBefore)
-	sp.End()
+	if reg.sp != nil {
+		reg.sp.SetInt("sectors", int64(q.Leg(q.Rank()-1).NumSectors()))
+	}
+	ie.end(reg)
 	checkSymTensor("backend.symqrsplit", q)
 	checkSymTensor("backend.symqrsplit", r)
 	return q, r
 }
 
 func (ie *InstrumentedSym) SymSVDSplit(t *tensor.Sym, leftAxes, rank int) (*tensor.Sym, []float64, *tensor.Sym) {
-	if !obs.Enabled() {
-		u, s, vh := ie.symInner.SymSVDSplit(t, leftAxes, rank)
-		checkSymTensor("backend.symsvd", u)
-		checkSymTensor("backend.symsvd", vh)
-		health.CheckFloats("backend.symsvd", s)
-		return u, s, vh
-	}
-	sp := obs.Start("backend.symsvd")
-	before := ie.statsBefore()
-	flopsBefore := tensor.FlopCount()
+	reg := ie.begin("backend.symsvd")
 	u, s, vh := ie.symInner.SymSVDSplit(t, leftAxes, rank)
-	sp.SetInt("rank", int64(len(s)))
-	sp.SetInt("sectors", int64(u.Leg(u.Rank()-1).NumSectors()))
-	ie.annotate(sp, before)
-	setFlops(sp, flopsBefore)
-	sp.End()
+	if reg.sp != nil {
+		reg.sp.SetInt("rank", int64(len(s)))
+		reg.sp.SetInt("sectors", int64(u.Leg(u.Rank()-1).NumSectors()))
+	}
+	ie.end(reg)
 	checkSymTensor("backend.symsvd", u)
 	checkSymTensor("backend.symsvd", vh)
 	health.CheckFloats("backend.symsvd", s)

@@ -34,7 +34,7 @@ func TestInstrumentedMatchesInner(t *testing.T) {
 	for name, inner := range engines {
 		for _, traced := range []bool{false, true} {
 			if traced {
-				obs.Enable()
+				obs.Enable(obs.PhaseSummary())
 			} else {
 				obs.Disable()
 			}
@@ -70,9 +70,11 @@ func TestInstrumentedMatchesInner(t *testing.T) {
 	}
 }
 
-// TestInstrumentedSpansAndCounters verifies the decorator reports
-// GEMM flops and emits the nested einsum -> gemm spans, and that a Dist
-// inner engine contributes modeled-seconds annotations.
+// TestInstrumentedSpansAndCounters verifies the decorator reports GEMM
+// flops through the observers it adds, emits an einsum span — under the
+// span of the scope the engine value was handed out for — and that a Dist
+// inner engine contributes modeled-seconds annotations. With the registry
+// on but no sink installed the counters still count and no span is built.
 func TestInstrumentedSpansAndCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := tensor.Rand(rng, 6, 7)
@@ -81,6 +83,9 @@ func TestInstrumentedSpansAndCounters(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	ie := Instrument(NewDense())
+	if scoped, sp := Scope(ie, "lattice.op"); sp != nil || scoped != ie {
+		t.Fatal("Scope must hand back the engine itself and no span while no sink is installed")
+	}
 	ie.Einsum("ab,bc->ac", a, b)
 	if got := obs.MetricValueOf("einsum.gemm.flops"); got != 6*8*7 {
 		t.Fatalf("einsum.gemm.flops = %v want %d", got, 6*8*7)
@@ -88,16 +93,34 @@ func TestInstrumentedSpansAndCounters(t *testing.T) {
 	if got := obs.MetricValueOf("einsum.contractions"); got != 1 {
 		t.Fatalf("einsum.contractions = %v want 1", got)
 	}
-	names := map[string]bool{}
-	for _, s := range obs.Summary() {
-		names[s.Name] = true
+
+	sink := &eventSink{}
+	obs.Enable(sink)
+	scoped, sp := Scope(ie, "lattice.op")
+	if SpanOf(scoped) != sp || SpanOf(ie) != nil {
+		t.Fatal("Scope must bind the new span to the returned engine only")
 	}
-	if !names["einsum"] || !names["einsum.gemm"] {
-		t.Fatalf("missing spans in summary: %v", names)
+	scoped.Einsum("ab,bc->ac", a, b)
+	inner, isp := Scope(scoped, "lattice.inner")
+	inner.Orth(a)
+	isp.End()
+	sp.End()
+	ie.Einsum("ab,bc->ac", a, b) // the unscoped engine stays at the root
+	byName := map[string][]obs.Event{}
+	for _, e := range sink.events {
+		byName[e.Name] = append(byName[e.Name], e)
+	}
+	op, in := byName["lattice.op"][0], byName["lattice.inner"][0]
+	if es := byName["einsum"]; len(es) != 2 || es[0].Parent != op.ID || es[1].Parent != 0 {
+		t.Fatalf("einsum spans %+v: want one under lattice.op (%d) and one at the root", es, op.ID)
+	}
+	if in.Parent != op.ID || byName["backend.orth"][0].Parent != in.ID {
+		t.Fatalf("nested scope: lattice.inner under %d, orth under %d; want %d and %d",
+			in.Parent, byName["backend.orth"][0].Parent, op.ID, in.ID)
 	}
 
 	// Dist engine: spans must carry machine-model annotations.
-	obs.Enable()
+	obs.Enable(obs.PhaseSummary())
 	grid := dist.NewGrid(dist.Stampede2(64))
 	de := Instrument(NewDist(grid, false))
 	de.Einsum("ab,bc->ca", a, b) // output transpose forces a metered move
@@ -117,3 +140,10 @@ func TestInstrumentedSpansAndCounters(t *testing.T) {
 		t.Fatalf("dist flop counter = %v", obs.MetricValueOf("einsum.gemm.flops"))
 	}
 }
+
+// eventSink records completed spans. The spans of this file's tests end on
+// the test goroutine, so it needs no lock.
+type eventSink struct{ events []obs.Event }
+
+func (s *eventSink) SpanEnd(e obs.Event) { s.events = append(s.events, e) }
+func (*eventSink) Flush() error          { return nil }

@@ -32,30 +32,29 @@ func NewThreaded() *Threaded { return &Threaded{} }
 
 func (t *Threaded) Name() string { return "threaded" }
 
-func (t *Threaded) Einsum(spec string, ops ...*tensor.Dense) *tensor.Dense {
-	var h einsum.Hooks
-	if t.Workers > 0 {
-		// An explicit cap opts out of the kernels' pool-wide splitting:
-		// route GEMMs through the bounded partitioned kernel instead.
-		h.GEMM = t.batchMatMul
+// hooks: an explicit Workers cap opts out of the kernels' pool-wide
+// splitting and routes GEMMs through the bounded partitioned kernel
+// instead. The mixed kernel parallelizes internally over the full pool
+// (the cap applies only to the full-precision partitioned kernel; the
+// sketch path is opt-in and its row splits cannot change results either
+// way).
+func (t *Threaded) hooks(mixed bool) einsum.Hooks {
+	switch {
+	case mixed:
+		return einsum.Hooks{GEMM: tensor.BatchMatMulMixed}
+	case t.Workers > 0:
+		return einsum.Hooks{GEMM: t.batchMatMul}
 	}
-	out, err := einsum.ContractWithHooks(spec, ops, h)
-	if err != nil {
-		panic("backend: " + err.Error())
-	}
-	return out
+	return einsum.Hooks{}
 }
 
-// EinsumMixed contracts with complex64 GEMM arithmetic. The mixed
-// kernel parallelizes internally over the full pool (the Workers cap
-// applies only to the full-precision partitioned kernel; the sketch
-// path is opt-in and its row splits cannot change results either way).
+func (t *Threaded) Einsum(spec string, ops ...*tensor.Dense) *tensor.Dense {
+	return contract(nil, spec, ops, t.hooks(false))
+}
+
+// EinsumMixed contracts with complex64 GEMM arithmetic.
 func (t *Threaded) EinsumMixed(spec string, ops ...*tensor.Dense) *tensor.Dense {
-	out, err := einsum.ContractWithHooks(spec, ops, einsum.Hooks{GEMM: tensor.BatchMatMulMixed})
-	if err != nil {
-		panic("backend: " + err.Error())
-	}
-	return out
+	return contract(nil, spec, ops, t.hooks(true))
 }
 
 // batchMatMul multiplies [bt, m, k] x [bt, k, n] with at most t.Workers

@@ -106,16 +106,13 @@ func ListenFlag() *string {
 // StartTelemetry starts the live telemetry plane when addr is non-empty
 // and returns the server (nil when addr is empty). component and labels
 // become the run info exposed as koala_run_info and the SSE hello
-// event. Because the /metrics exposition renders the obs counter
-// registry, obs collection is enabled (with zero sinks) when no
+// event. The plane serves the obs registry and turns it on itself
+// (registry only: a monitor does not make the run build spans) when no
 // -trace/-metrics flag already did. The bound address is printed so
 // wrappers can discover a :0 port.
 func StartTelemetry(addr, component string, labels map[string]string) (*telemetry.Server, error) {
 	if addr == "" {
 		return nil, nil
-	}
-	if !obs.Enabled() {
-		obs.Enable()
 	}
 	srv, err := telemetry.Serve(addr)
 	if err != nil {
@@ -236,8 +233,9 @@ func ObsFlags() *ObsConfig {
 	}
 }
 
-// Setup enables span collection when either flag was given. Call once
-// after flag.Parse; returns whether collection is on.
+// Setup enables span collection when either flag was given, with the
+// phase summary Finish prints beside the file sinks. Call once after
+// flag.Parse; returns whether collection is on.
 func (c *ObsConfig) Setup() (bool, error) {
 	if *c.trace != "" && *c.trace == *c.metrics {
 		return false, fmt.Errorf("-trace and -metrics must name different files")
@@ -260,7 +258,7 @@ func (c *ObsConfig) Setup() (bool, error) {
 		sinks = append(sinks, obs.NewJSONLSink(f))
 	}
 	if len(sinks) > 0 {
-		obs.Enable(sinks...)
+		obs.Enable(append(sinks, obs.PhaseSummary())...)
 		c.on = true
 	}
 	return c.on, nil

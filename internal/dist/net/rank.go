@@ -177,8 +177,6 @@ func (ro *rankObs) record(op dist.Op, secs float64) {
 	ro.stats.Ops[op.String()] = m
 	ro.mu.Unlock()
 	dist.RecordMeasured(op, secs)
-	telemetry.Observe("dist_measured_comm_seconds", secs,
-		telemetry.Label{Key: "op", Value: op.String()})
 }
 
 // pongBody renders the reply to a sync ping: receive/send timestamps

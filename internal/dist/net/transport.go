@@ -380,18 +380,18 @@ func (t *Transport) pingLocked(r int) (offsetNS, rttNS int64, st childStats, err
 func (t *Transport) noteRankLocked(r int) {
 	telemetry.RankHeartbeat(r)
 	ri := t.rankInfo[r]
-	lbl := telemetry.Label{Key: "rank", Value: strconv.Itoa(r)}
-	telemetry.Observe("dist_rank_up", 1, lbl)
-	telemetry.Observe("dist_rank_clock_offset_ns", float64(ri.offsetNS), lbl)
-	telemetry.Observe("dist_rank_rtt_ns", float64(ri.rttNS), lbl)
+	lbl := obs.Label{Key: "rank", Value: strconv.Itoa(r)}
+	obs.Observe("dist_rank_up", 1, lbl)
+	obs.Observe("dist_rank_clock_offset_ns", float64(ri.offsetNS), lbl)
+	obs.Observe("dist_rank_rtt_ns", float64(ri.rttNS), lbl)
 	var ops int64
 	var secs float64
 	for _, m := range ri.stats.Ops {
 		ops += m.Ops
 		secs += m.Seconds
 	}
-	telemetry.Observe("dist_rank_measured_ops", float64(ops), lbl)
-	telemetry.Observe("dist_rank_measured_comm_seconds", secs, lbl)
+	obs.Observe("dist_rank_measured_ops", float64(ops), lbl)
+	obs.Observe("dist_rank_measured_comm_seconds", secs, lbl)
 }
 
 // heartbeatLoop re-pings every alive rank each period, refreshing clock
@@ -493,7 +493,7 @@ func (t *Transport) monitor(r int) {
 	t.mu.Unlock()
 	if !closing {
 		telemetry.MarkRankDead(r, fmt.Sprintf("rank %d died: %v", r, err))
-		telemetry.Observe("dist_rank_up", 0, telemetry.Label{Key: "rank", Value: strconv.Itoa(r)})
+		obs.Observe("dist_rank_up", 0, obs.Label{Key: "rank", Value: strconv.Itoa(r)})
 		// Surface the failure even if the driver is between collectives.
 		t.fail(fmt.Errorf("rank %d died: %v", r, err))
 	}
@@ -545,8 +545,6 @@ func (t *Transport) Run(op dist.Op, totalBytes int64) (float64, error) {
 	sp.End()
 	t.opStats[op].n++
 	t.opStats[op].secs += secs
-	telemetry.Observe("dist_measured_comm_seconds", secs,
-		telemetry.Label{Key: "op", Value: op.String()})
 	return secs, nil
 }
 

@@ -101,14 +101,14 @@ func (g *Grid) AnnotateSpan(sp *obs.Span, before Stats) {
 }
 
 // TraceRegion runs f inside a span named name, annotated with the grid's
-// machine-model delta for the region. While obs is disabled it just
-// calls f.
+// machine-model delta for the region. While no span sink is installed it
+// just calls f.
 func (g *Grid) TraceRegion(name string, f func()) {
-	if !obs.Enabled() {
+	sp := obs.Start(name)
+	if sp == nil {
 		f()
 		return
 	}
-	sp := obs.Start(name)
 	before := g.Snapshot()
 	f()
 	g.AnnotateSpan(sp, before)

@@ -142,7 +142,7 @@ func TestTraceRegion(t *testing.T) {
 		t.Fatal("TraceRegion must run f while disabled")
 	}
 
-	obs.Enable()
+	obs.Enable(obs.PhaseSummary())
 	defer obs.Disable()
 	rng := rand.New(rand.NewSource(1))
 	a := tensor.Rand(rng, 32, 8)

@@ -115,6 +115,53 @@ func MustFactor(st Strategy, eng backend.Engine, spec string, rank int, ops ...*
 	return a, b, s
 }
 
+// TruncReporter is an optional Strategy capability, in the manner of
+// backend.MixedContractor: a Factor that also returns the truncation
+// error of the split, the relative Frobenius weight ||M - A B|| / ||M||
+// of the contracted network M that the rank cap discarded. It is a
+// return value because it means something only for the decomposition
+// that produced it — whoever asked for the split knows which bond it was.
+// A strategy without the capability, such as a wrapper that forwards
+// Factor, reports TruncUnknown through MustFactorTrunc.
+type TruncReporter interface {
+	FactorTrunc(eng backend.Engine, spec string, rank int, ops ...*tensor.Dense) (a, b *tensor.Dense, s []float64, truncErr float64, err error)
+}
+
+// TruncUnknown is the truncation error of a factorization that does not
+// report one. Reported errors are never negative.
+const TruncUnknown = -1.0
+
+// MustFactorTrunc is MustFactor plus the truncation error, TruncUnknown
+// when st is not a TruncReporter.
+func MustFactorTrunc(st Strategy, eng backend.Engine, spec string, rank int, ops ...*tensor.Dense) (*tensor.Dense, *tensor.Dense, []float64, float64) {
+	tr, ok := st.(TruncReporter)
+	if !ok {
+		a, b, s := MustFactor(st, eng, spec, rank, ops...)
+		return a, b, s, TruncUnknown
+	}
+	a, b, s, te, err := tr.FactorTrunc(eng, spec, rank, ops...)
+	if err != nil {
+		panic("einsumsvd: " + err.Error())
+	}
+	return a, b, s, te
+}
+
+// discardedWeight is the relative truncation error of keeping singular
+// values s of a matrix of Frobenius norm norm: sqrt(1 - sum s^2/norm^2),
+// one pass over data the factorization holds anyway. Like
+// linalg.TruncError's all-minus-kept it cancels near zero, so an exact
+// split reads up to sqrt(eps) ~ 1e-8 rather than 0.
+func discardedWeight(s []float64, norm float64) float64 {
+	if norm == 0 {
+		return 0
+	}
+	var kept float64
+	for _, x := range s {
+		kept += x * x
+	}
+	return math.Sqrt(math.Max(0, 1-kept/(norm*norm)))
+}
+
 // splitSpec holds the compiled form of a split spec for one set of
 // operand shapes. It is shared by every Factor call of that signature;
 // everything but the operator plans is fixed when parse returns.
@@ -383,14 +430,29 @@ func permuteTo[T interface{ Transpose(perm ...int) T }](t T, from, to string) T 
 
 // Factor implements Strategy for the explicit contract-then-SVD path.
 func (e Explicit) Factor(eng backend.Engine, spec string, rank int, ops ...*tensor.Dense) (*tensor.Dense, *tensor.Dense, []float64, error) {
+	a, b, s, _, err := e.factor(false, eng, spec, rank, ops)
+	return a, b, s, err
+}
+
+// FactorTrunc implements TruncReporter: the explicit path holds the
+// matrix it truncates.
+func (e Explicit) FactorTrunc(eng backend.Engine, spec string, rank int, ops ...*tensor.Dense) (*tensor.Dense, *tensor.Dense, []float64, float64, error) {
+	return e.factor(true, eng, spec, rank, ops)
+}
+
+func (e Explicit) factor(wantErr bool, eng backend.Engine, spec string, rank int, ops []*tensor.Dense) (*tensor.Dense, *tensor.Dense, []float64, float64, error) {
 	p, err := compiled(spec, shapesOf(ops))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, 0, err
 	}
 	full := eng.Einsum(p.fullSpec, ops...)
 	u, s, v := eng.TruncSVD(full.Reshape(p.rowSize, p.colSize), rank)
+	te := TruncUnknown
+	if wantErr {
+		te = discardedWeight(s, full.Norm())
+	}
 	a, b := p.assemble(eng, u, s, v, e.Mode)
-	return a, b, s, nil
+	return a, b, s, te, nil
 }
 
 // Factor implements Strategy for the implicit randomized-SVD path.

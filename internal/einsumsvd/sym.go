@@ -15,10 +15,11 @@ import (
 // same way the dense assemble step does, per-column on the first factor
 // and per-row on the second, with the singular values in the bond's
 // canonical order (ascending sector charge, descending within a sector).
-func SymFactor(eng backend.SymEngine, mode SigmaMode, spec string, rank int, ops ...*tensor.Sym) (a, b *tensor.Sym, s []float64, err error) {
+// truncErr is the relative discarded weight, as TruncReporter defines it.
+func SymFactor(eng backend.SymEngine, mode SigmaMode, spec string, rank int, ops ...*tensor.Sym) (a, b *tensor.Sym, s []float64, truncErr float64, err error) {
 	p, err := compiled(spec, shapesOf(ops))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, 0, err
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -27,22 +28,23 @@ func SymFactor(eng backend.SymEngine, mode SigmaMode, spec string, rank int, ops
 	}()
 	full := eng.SymEinsum(p.fullSpec, ops...)
 	u, s, vh := eng.SymSVDSplit(full, len(p.row), rank)
+	truncErr = discardedWeight(s, full.Norm())
 	uScale, vScale := mode.scales(s)
 	scaleSymBond(u, u.Rank()-1, uScale)
 	scaleSymBond(vh, 0, vScale)
 	a = permuteTo(u, p.row+string(p.newLetter), p.out1)
 	b = permuteTo(vh, string(p.newLetter)+p.col, p.out2)
-	return a, b, s, nil
+	return a, b, s, truncErr, nil
 }
 
 // MustSymFactor is the panic-on-error form of SymFactor for constant
 // specs in library code.
-func MustSymFactor(eng backend.SymEngine, mode SigmaMode, spec string, rank int, ops ...*tensor.Sym) (*tensor.Sym, *tensor.Sym, []float64) {
-	a, b, s, err := SymFactor(eng, mode, spec, rank, ops...)
+func MustSymFactor(eng backend.SymEngine, mode SigmaMode, spec string, rank int, ops ...*tensor.Sym) (*tensor.Sym, *tensor.Sym, []float64, float64) {
+	a, b, s, te, err := SymFactor(eng, mode, spec, rank, ops...)
 	if err != nil {
 		panic(err.Error())
 	}
-	return a, b, s
+	return a, b, s, te
 }
 
 // scaleSymBond multiplies slice j of the given axis by scale[off+j],

@@ -66,7 +66,7 @@ func TestSymFactorReconstructs(t *testing.T) {
 	full := eng.SymEinsum("abk,kcd->abcd", x, y).ToDense()
 
 	for _, mode := range []SigmaMode{SigmaRight, SigmaLeft, SigmaBoth} {
-		a, b, s, err := SymFactor(eng, mode, "abk,kcd->abn|ncd", 0, x, y)
+		a, b, s, _, err := SymFactor(eng, mode, "abk,kcd->abn|ncd", 0, x, y)
 		if err != nil {
 			t.Fatalf("mode %d: %v", mode, err)
 		}
@@ -88,7 +88,7 @@ func TestSymFactorMatchesDenseFactor(t *testing.T) {
 	x := randSymOp(rng, 2, 0, []tensor.Leg{q, q.Dual(), q})
 	y := randSymOp(rng, 2, 1, []tensor.Leg{q.Dual(), q, q.Dual()})
 	const rank = 3
-	_, _, ss, err := SymFactor(eng, SigmaBoth, "abk,kcd->abn|ncd", rank, x, y)
+	_, _, ss, _, err := SymFactor(eng, SigmaBoth, "abk,kcd->abn|ncd", rank, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestSymFactorBadSpec(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	q := tensor.Leg{Dir: 1, Charges: []int{0, 1}, Dims: []int{2, 2}}
 	x := randSymOp(rng, 0, 0, []tensor.Leg{q, q.Dual()})
-	if _, _, _, err := SymFactor(eng, SigmaBoth, "ab->a|b|c", 0, x); err == nil {
+	if _, _, _, _, err := SymFactor(eng, SigmaBoth, "ab->a|b|c", 0, x); err == nil {
 		t.Fatal("malformed spec must error, not panic")
 	}
 }

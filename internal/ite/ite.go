@@ -11,6 +11,7 @@ import (
 	"gokoala/internal/checkpoint"
 	"gokoala/internal/einsumsvd"
 	"gokoala/internal/health"
+	"gokoala/internal/obs"
 	"gokoala/internal/peps"
 	"gokoala/internal/quantum"
 	"gokoala/internal/telemetry"
@@ -154,7 +155,7 @@ func Evolve(state *peps.PEPS, obs *quantum.Observable, opts Options) Result {
 }
 
 // evolve is the ITE loop: sweep, measure, publish, checkpoint.
-func evolve(obs *quantum.Observable, opts Options, d driver) Result {
+func evolve(h *quantum.Observable, opts Options, d driver) Result {
 	if opts.MeasureEvery <= 0 {
 		opts.MeasureEvery = 1
 	}
@@ -184,7 +185,7 @@ func evolve(obs *quantum.Observable, opts Options, d driver) Result {
 			// no longer depends on how many measurements ran before, so a
 			// resumed run reproduces it exactly.
 			st := einsumsvd.Reseed(strategy, stepSeed(opts.Seed, step))
-			e := d.dense().EnergyPerSite(obs, peps.ExpectationOptions{
+			e := d.dense().EnergyPerSite(h, peps.ExpectationOptions{
 				M:        opts.ContractionRank,
 				Strategy: st,
 				UseCache: opts.UseCache,
@@ -194,7 +195,7 @@ func evolve(obs *quantum.Observable, opts Options, d driver) Result {
 			res.MeasuredAt = append(res.MeasuredAt, step)
 			measuredNow = true
 		}
-		if telemetry.Active() {
+		if obs.Enabled() {
 			fields := map[string]float64{
 				"step":        float64(step),
 				"steps_total": float64(opts.Steps),
@@ -203,9 +204,9 @@ func evolve(obs *quantum.Observable, opts Options, d driver) Result {
 			if measuredNow {
 				e := res.Energies[len(res.Energies)-1]
 				fields["energy_per_site"] = e
-				telemetry.Observe("ite.energy_per_site", e)
+				obs.Observe("ite.energy_per_site", e)
 			}
-			telemetry.Observe("ite.step", float64(step))
+			obs.Observe("ite.step", float64(step))
 			telemetry.Publish("ite.step", step, fields)
 		}
 		if opts.CheckpointPath != "" && (step%opts.CheckpointEvery == 0 || step == opts.Steps || stopping) {

@@ -3,9 +3,9 @@ package ite
 import (
 	"gokoala/internal/checkpoint"
 	"gokoala/internal/health"
+	"gokoala/internal/obs"
 	"gokoala/internal/peps"
 	"gokoala/internal/quantum"
-	"gokoala/internal/telemetry"
 )
 
 // EvolveSym runs imaginary time evolution on a block-sparse symmetric
@@ -21,12 +21,12 @@ import (
 // comparable with a dense run of the same schedule. The evolution is
 // strictly sequential over gates and therefore bit-identical at any
 // worker count.
-func EvolveSym(state *peps.SymPEPS, obs *quantum.Observable, opts Options) Result {
+func EvolveSym(state *peps.SymPEPS, h *quantum.Observable, opts Options) Result {
 	if opts.WeightedUpdate {
 		panic("ite: the weighted simple update does not support the block-sparse backend")
 	}
 	denseRun := func(start *peps.PEPS) Result {
-		res := Evolve(start, obs, opts)
+		res := Evolve(start, h, opts)
 		res.FellBack = true
 		return res
 	}
@@ -38,7 +38,7 @@ func EvolveSym(state *peps.SymPEPS, obs *quantum.Observable, opts Options) Resul
 		}
 		state = cp.SymState
 	}
-	gates, ok := peps.SymTrotterGates(trotterGates(obs, opts), state.Mod())
+	gates, ok := peps.SymTrotterGates(trotterGates(h, opts), state.Mod())
 	if !ok {
 		// Non-conserving circuit: embed once and run the dense evolution
 		// with unchanged options (including checkpointing, which then
@@ -47,7 +47,7 @@ func EvolveSym(state *peps.SymPEPS, obs *quantum.Observable, opts Options) Resul
 		return denseRun(state.ToDense())
 	}
 	upd := peps.UpdateOptions{Rank: opts.EvolutionRank, Normalize: true}
-	res := evolve(obs, opts, driver{
+	res := evolve(h, opts, driver{
 		sweep: func() { state.ApplyCircuit(gates, upd) },
 		dense: state.ToDense,
 		describe: func(f map[string]float64) {
@@ -56,8 +56,8 @@ func EvolveSym(state *peps.SymPEPS, obs *quantum.Observable, opts Options) Resul
 			f["state_bytes"] = stored
 			f["dense_equiv_bytes"] = denseEquiv
 			f["blocks"] = float64(state.NumBlocks())
-			telemetry.Observe("peps.sym.state_bytes", stored)
-			telemetry.Observe("peps.sym.dense_equiv_bytes", denseEquiv)
+			obs.Observe("peps.sym.state_bytes", stored)
+			obs.Observe("peps.sym.dense_equiv_bytes", denseEquiv)
 		},
 		store: func(cp *checkpoint.ITECheckpoint) { cp.SymState = state },
 	})

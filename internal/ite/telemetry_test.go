@@ -1,10 +1,12 @@
 package ite
 
 import (
+	"net/http"
 	"testing"
 
 	"gokoala/internal/backend"
 	"gokoala/internal/einsumsvd"
+	"gokoala/internal/obs"
 	"gokoala/internal/peps"
 	"gokoala/internal/quantum"
 	"gokoala/internal/telemetry"
@@ -13,16 +15,16 @@ import (
 func evolveWithTelemetry(t *testing.T, steps int, stop func() bool) ([]telemetry.Event, Result) {
 	t.Helper()
 	telemetry.Reset()
-	telemetry.SetActive(true)
+	obs.Enable()
 	t.Cleanup(func() {
-		telemetry.SetActive(false)
+		obs.Disable()
 		telemetry.Reset()
 	})
 
 	rows, cols := 2, 2
-	obs := quantum.TransverseFieldIsing(rows, cols, -1, -3.5)
+	h := quantum.TransverseFieldIsing(rows, cols, -1, -3.5)
 	state := PlusState(peps.ComputationalZeros(backend.NewDense(), rows, cols))
-	res := Evolve(state, obs, Options{
+	res := Evolve(state, h, Options{
 		Tau:             0.05,
 		Steps:           steps,
 		EvolutionRank:   2,
@@ -66,8 +68,8 @@ func TestITEPublishesStepEvents(t *testing.T) {
 		t.Fatal("no step event carried energy_per_site")
 	}
 
-	series, _ := telemetry.Snapshot()
-	names := map[string]telemetry.SeriesSnapshot{}
+	_, series, _ := obs.Snapshot()
+	names := map[string]obs.SeriesSnapshot{}
 	for _, s := range series {
 		names[s.Name] = s
 	}
@@ -109,5 +111,52 @@ func TestITEStopHookExitsEarly(t *testing.T) {
 	}
 	if n := len(res.MeasuredAt); n == 0 || res.MeasuredAt[n-1] != 2 {
 		t.Fatalf("stop must force a final measurement at step 2; measured at %v", res.MeasuredAt)
+	}
+}
+
+// TestListeningRunScrape is one /metrics scrape of a run as `-listen`
+// sets it up (telemetry.Serve, an instrumented engine, nothing else): the
+// strict parser accepts it — which rejects a family declared or a sample
+// written twice, the failure two registries bridged by name used to need
+// a collision skip for — the families a watcher reads are there, and the
+// monitor has not made the run build spans.
+func TestListeningRunScrape(t *testing.T) {
+	srv, err := telemetry.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		obs.Disable()
+		telemetry.Reset()
+	})
+	h := quantum.TransverseFieldIsing(2, 2, -1, -3.5)
+	state := PlusState(peps.ComputationalZeros(backend.Instrument(backend.NewDense()), 2, 2))
+	Evolve(state, h, Options{Tau: 0.05, Steps: 3, EvolutionRank: 2, ContractionRank: 4,
+		Strategy: einsumsvd.Explicit{}, MeasureEvery: 1})
+	if obs.Start("probe") != nil {
+		t.Fatal("a listener alone made the run build spans")
+	}
+
+	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	samples, err := telemetry.ParseMetrics(resp.Body)
+	if err != nil {
+		t.Fatalf("scrape rejected by the strict parser: %v", err)
+	}
+	for _, want := range []string{
+		"koala_svd_trunc_error", "koala_einsum_plan_hit_ratio", "koala_einsum_contractions",
+		"koala_ite_energy_per_site", "koala_health_nan_detected",
+		`koala_peps_bond_trunc_error{dir="h",row="0",col="0"}`,
+	} {
+		if _, ok := samples[want]; !ok {
+			t.Errorf("scrape has no %s", want)
+		}
+	}
+	if samples["koala_einsum_contractions"] == 0 {
+		t.Error("koala_einsum_contractions is 0 after three ITE steps")
 	}
 }

@@ -2,12 +2,12 @@ package linalg
 
 import (
 	"fmt"
+	"gokoala/internal/obs"
 	"math"
 	"math/cmplx"
 	"sort"
 
 	"gokoala/internal/health"
-	"gokoala/internal/telemetry"
 	"gokoala/internal/tensor"
 )
 
@@ -52,8 +52,8 @@ func EigHReport(a *tensor.Dense) (w []float64, v *tensor.Dense, rep Report) {
 	if !rep.Converged {
 		health.CountNonconverged("linalg.eigh")
 	}
-	telemetry.ObserveHist("solver.sweeps", telemetry.Pow2Bounds, float64(rep.Sweeps),
-		telemetry.Label{Key: "solver", Value: "jacobi_eigh"})
+	obs.ObserveHist("solver.sweeps", obs.Pow2Bounds, float64(rep.Sweeps),
+		obs.Label{Key: "solver", Value: "jacobi_eigh"})
 	return w, v, rep
 }
 

@@ -1,12 +1,12 @@
 package linalg
 
 import (
+	"gokoala/internal/obs"
 	"math"
 	"math/cmplx"
 	"math/rand"
 
 	"gokoala/internal/health"
-	"gokoala/internal/telemetry"
 	"gokoala/internal/tensor"
 )
 
@@ -95,8 +95,8 @@ func LanczosReport(matvec MatVecFunc, n, maxIter int, tol float64, rng *rand.Ran
 	if !rep.Converged {
 		health.CountNonconverged("linalg.lanczos")
 	}
-	telemetry.ObserveHist("solver.sweeps", telemetry.Pow2Bounds, float64(rep.Sweeps),
-		telemetry.Label{Key: "solver", Value: "lanczos"})
+	obs.ObserveHist("solver.sweeps", obs.Pow2Bounds, float64(rep.Sweeps),
+		obs.Label{Key: "solver", Value: "lanczos"})
 
 	// Diagonalize the tridiagonal projection with the dense Hermitian
 	// eigensolver (sizes here are <= maxIter, tiny).

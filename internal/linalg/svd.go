@@ -10,17 +10,27 @@ import (
 	"gokoala/internal/health"
 	"gokoala/internal/obs"
 	"gokoala/internal/pool"
-	"gokoala/internal/telemetry"
 	"gokoala/internal/tensor"
 )
 
 // Truncation observability: every truncated SVD records how much
 // spectral weight it discarded (the per-truncation accuracy knob the
 // paper's m sweeps trade against time) and how many truncations ran.
-var (
-	obsSVDCalls      = obs.NewCounter("svd.truncations")
-	obsSVDTruncError = obs.NewGauge("svd.trunc_error")
-)
+var obsSVDCalls = obs.NewCounter("svd.truncations")
+
+// recordTruncation publishes one truncation keeping the first k of the
+// descending singular values s. The number stays here, at the
+// decomposition it belongs to; a caller that needs it for a lattice bond
+// gets it from einsumsvd's return value, not from this series.
+func recordTruncation(s []float64, k int) {
+	if !obs.Enabled() {
+		return
+	}
+	te := TruncError(s, k)
+	obsSVDCalls.Add(1)
+	obs.Observe("svd.trunc_error", te)
+	obs.ObserveHist("svd.trunc_error_hist", obs.LogBounds, te)
+}
 
 // svdFlops is the standard LAPACK-equivalent complex-flop estimate for a
 // thin SVD of an m-by-n matrix (GESVD-style, ~14 m n min(m,n) fused
@@ -66,8 +76,8 @@ func SVDReport(a *tensor.Dense) (u *tensor.Dense, s []float64, v *tensor.Dense, 
 	if !rep.Converged {
 		health.CountNonconverged("linalg.svd")
 	}
-	telemetry.ObserveHist("solver.sweeps", telemetry.Pow2Bounds, float64(rep.Sweeps),
-		telemetry.Label{Key: "solver", Value: "jacobi_svd"})
+	obs.ObserveHist("solver.sweeps", obs.Pow2Bounds, float64(rep.Sweeps),
+		obs.Label{Key: "solver", Value: "jacobi_svd"})
 	return u, s, v, rep
 }
 
@@ -404,20 +414,7 @@ func TruncatedSVD(a *tensor.Dense, rank int) (u *tensor.Dense, s []float64, v *t
 	if k <= 0 {
 		panic(fmt.Sprintf("linalg: TruncatedSVD rank %d invalid", rank))
 	}
-	if obs.Enabled() || telemetry.Active() {
-		te := TruncError(sf, k)
-		if obs.Enabled() {
-			obsSVDCalls.Add(1)
-			obsSVDTruncError.Set(te)
-		}
-		if telemetry.Active() {
-			telemetry.Observe("svd.trunc_error", te)
-			telemetry.ObserveHist("svd.trunc_error_hist", telemetry.LogBounds, te)
-			// Stash for the peps update on this goroutine to re-label
-			// with its lattice bond (see telemetry.SetPendingTrunc).
-			telemetry.SetPendingTrunc(te)
-		}
-	}
+	recordTruncation(sf, k)
 	return sliceCols(uf, k), sf[:k], sliceCols(vf, k)
 }
 

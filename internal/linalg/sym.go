@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"gokoala/internal/obs"
-	"gokoala/internal/telemetry"
 	"gokoala/internal/tensor"
 )
 
@@ -326,22 +325,12 @@ func SymSVDSplit(t *tensor.Sym, leftAxes, rank int) (u *tensor.Sym, s []float64,
 	for _, sv := range all[:k] {
 		kept[sv.group]++
 	}
-	// Truncation-error bookkeeping, matching TruncatedSVD's telemetry.
-	if obs.Enabled() || telemetry.Active() {
+	if obs.Enabled() {
 		global := make([]float64, len(all))
 		for i, sv := range all {
 			global[i] = sv.sigma
 		}
-		te := TruncError(global, k)
-		if obs.Enabled() {
-			obsSVDCalls.Add(1)
-			obsSVDTruncError.Set(te)
-		}
-		if telemetry.Active() {
-			telemetry.Observe("svd.trunc_error", te)
-			telemetry.ObserveHist("svd.trunc_error_hist", telemetry.LogBounds, te)
-			telemetry.SetPendingTrunc(te)
-		}
+		recordTruncation(global, k)
 	}
 	u = scatterLeft(t, leftAxes, sectors, us, kept)
 	// V† factors already have the bond as rows; slice happens in scatter.

@@ -3,7 +3,6 @@ package mps
 import (
 	"gokoala/internal/backend"
 	"gokoala/internal/einsumsvd"
-	"gokoala/internal/obs"
 	"gokoala/internal/tensor"
 )
 
@@ -21,7 +20,8 @@ func (s *MPS) BondDims() []int {
 // A[l,p,b] = delta_{ab}), with the state's norm concentrated in the last
 // site. Produced by a left-to-right QR sweep.
 func CanonicalizeLeft(eng backend.Engine, s *MPS) *MPS {
-	sp := obs.Start("mps.canonicalize").SetStr("direction", "left")
+	eng, sp := backend.Scope(eng, "mps.canonicalize")
+	sp.SetStr("direction", "left")
 	defer sp.End()
 	n := s.Len()
 	out := make([]*tensor.Dense, n)
@@ -38,7 +38,8 @@ func CanonicalizeLeft(eng backend.Engine, s *MPS) *MPS {
 // CanonicalizeRight is the mirror image: every site except the first is a
 // right isometry, produced by a right-to-left sweep.
 func CanonicalizeRight(eng backend.Engine, s *MPS) *MPS {
-	sp := obs.Start("mps.canonicalize").SetStr("direction", "right")
+	eng, sp := backend.Scope(eng, "mps.canonicalize")
+	sp.SetStr("direction", "right")
 	defer sp.End()
 	n := s.Len()
 	out := make([]*tensor.Dense, n)
@@ -63,7 +64,8 @@ func CompressCanonical(eng backend.Engine, s *MPS, m int) *MPS {
 	if n == 1 {
 		return s.Clone()
 	}
-	sp := obs.Start("mps.compress").SetStr("mode", "canonical").SetInt("m", int64(m))
+	eng, sp := backend.Scope(eng, "mps.compress")
+	sp.SetStr("mode", "canonical").SetInt("m", int64(m))
 	defer sp.End()
 	lc := CanonicalizeLeft(eng, s)
 	out := make([]*tensor.Dense, n)

@@ -19,7 +19,6 @@ import (
 
 	"gokoala/internal/backend"
 	"gokoala/internal/einsumsvd"
-	"gokoala/internal/obs"
 	"gokoala/internal/tensor"
 )
 
@@ -176,7 +175,8 @@ func ApplyMPOExact(eng backend.Engine, s *MPS, o *MPO) *MPS {
 	if s.Len() != len(o.Sites) {
 		panic("mps: MPO length mismatch")
 	}
-	sp := obs.Start("mps.apply_exact").SetInt("bond", int64(s.MaxBond()))
+	eng, sp := backend.Scope(eng, "mps.apply_exact")
+	sp.SetInt("bond", int64(s.MaxBond()))
 	defer sp.End()
 	sites := make([]*tensor.Dense, s.Len())
 	for i := range s.Sites {
@@ -199,7 +199,8 @@ func ApplyMPOZipUp(eng backend.Engine, s *MPS, o *MPO, m int, st einsumsvd.Strat
 	if n != len(o.Sites) {
 		panic("mps: MPO length mismatch")
 	}
-	sp := obs.Start("mps.zipup").SetInt("m", int64(m)).SetInt("bond", int64(s.MaxBond()))
+	eng, sp := backend.Scope(eng, "mps.zipup")
+	sp.SetInt("m", int64(m)).SetInt("bond", int64(s.MaxBond()))
 	defer sp.End()
 	if n == 1 {
 		v := eng.Einsum("apb,cqpd->qbd", s.Sites[0], o.Sites[0])
@@ -231,7 +232,8 @@ func Compress(eng backend.Engine, s *MPS, m int, st einsumsvd.Strategy) *MPS {
 	if n == 1 {
 		return s.Clone()
 	}
-	sp := obs.Start("mps.compress").SetInt("m", int64(m))
+	eng, sp := backend.Scope(eng, "mps.compress")
+	sp.SetInt("m", int64(m))
 	defer sp.End()
 	out := make([]*tensor.Dense, n)
 	carry := s.Sites[0]

@@ -61,8 +61,10 @@ func TestForeignGoroutineStartAttachesToRoot(t *testing.T) {
 	}
 }
 
-// StartChild parents explicitly across goroutines, and Adopt makes
-// legacy Start calls inside the task body nest under the task span.
+// StartChild parents explicitly across goroutines: a task span started
+// from the coordinator's handle on a worker goroutine, and a leaf started
+// from the task's handle, form the chain outer -> task -> leaf whatever
+// goroutine each runs on.
 func TestStartChildAdoptNesting(t *testing.T) {
 	cleanup()
 	sink := &collectSink{}
@@ -74,8 +76,7 @@ func TestStartChildAdoptNesting(t *testing.T) {
 	go func() {
 		defer close(done)
 		task := outer.StartChild("task")
-		task.Adopt()
-		leaf := Start("leaf") // must nest under the adopted task span
+		leaf := task.StartChild("leaf")
 		leaf.End()
 		task.End()
 	}()
@@ -99,30 +100,122 @@ func TestStartChildAdoptNesting(t *testing.T) {
 	}
 }
 
-// Current returns the innermost open span of the calling goroutine only.
+// The current span is whatever handle the caller holds, per goroutine by
+// construction: two goroutines that each hold their own handle start
+// children at the same time and every child lands under the handle it was
+// started from, while a Start with no handle lands at the trace root even
+// though its goroutine has a span open.
 func TestCurrentIsPerGoroutine(t *testing.T) {
 	cleanup()
-	Enable()
+	sink := &collectSink{}
+	Enable(sink)
 	defer cleanup()
 
-	outer := Start("outer")
-	if Current() != outer {
-		t.Fatal("Current should see the goroutine's own open span")
+	var wg sync.WaitGroup
+	roots := make([]*Span, 2)
+	for g := range roots {
+		roots[g] = Start("root")
+		wg.Add(1)
+		go func(own *Span) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				own.StartChild("child").SetInt("owner", own.id).End()
+			}
+			Start("orphan").End()
+		}(roots[g])
 	}
-	var onWorker *Span
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		onWorker = Current()
-	}()
-	<-done
-	if onWorker != nil {
-		t.Fatalf("fresh goroutine sees span %v; want nil", onWorker)
+	wg.Wait()
+	for _, r := range roots {
+		r.End()
 	}
-	outer.End()
-	if Current() != nil {
-		t.Fatal("Current should be nil after the last span ends")
+
+	children := sink.byName("child")
+	if len(children) != 200 {
+		t.Fatalf("want 200 child spans, got %d", len(children))
 	}
+	for _, e := range children {
+		if e.Parent != e.Attrs[0].Int {
+			t.Fatalf("child started from handle %d is parented under %d", e.Attrs[0].Int, e.Parent)
+		}
+	}
+	for _, e := range sink.byName("orphan") {
+		if e.Parent != 0 || e.Depth != 0 {
+			t.Fatalf("handle-less span parented under %d at depth %d; want the trace root", e.Parent, e.Depth)
+		}
+	}
+}
+
+// dropSink discards every event: the cheapest consumer a span can have.
+type dropSink struct{}
+
+func (dropSink) SpanEnd(Event) {}
+func (dropSink) Flush() error  { return nil }
+
+// Eight goroutines build nested spans from handles at once (run under
+// -race by `make race`): every emitted event's parent is the handle it
+// was started from, none attaches to another goroutine's span, and a
+// start+end pair delivered to a dropping sink allocates the span record
+// and nothing else.
+func TestHandleSpansConcurrent(t *testing.T) {
+	cleanup()
+	sink := &collectSink{}
+	Enable(sink)
+	defer cleanup()
+
+	const goroutines, outerN, innerN = 8, 20, 5
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			lane := Start("lane").SetTrack(g+1).SetInt("g", int64(g))
+			for i := 0; i < outerN; i++ {
+				outer := lane.StartChild("outer").SetInt("want", lane.id).SetInt("g", int64(g))
+				for j := 0; j < innerN; j++ {
+					outer.StartChild("inner").SetInt("want", outer.id).SetInt("g", int64(g)).End()
+				}
+				outer.End()
+			}
+			lane.End()
+		}(g)
+	}
+	wg.Wait()
+
+	sink.mu.Lock()
+	events := append([]Event(nil), sink.events...)
+	sink.mu.Unlock()
+	if want := goroutines * (1 + outerN*(1+innerN)); len(events) != want {
+		t.Fatalf("got %d events, want %d", len(events), want)
+	}
+	laneOf := map[int64]int64{} // span id -> goroutine that started it
+	for _, e := range events {
+		laneOf[e.ID] = e.Attrs[len(e.Attrs)-1].Int
+	}
+	for _, e := range events {
+		g := e.Attrs[len(e.Attrs)-1].Int
+		if e.Track != int(g)+1 {
+			t.Fatalf("%s span of goroutine %d on track %d", e.Name, g, e.Track)
+		}
+		if e.Name == "lane" {
+			if e.Parent != 0 {
+				t.Fatalf("lane span parented under %d, want the root", e.Parent)
+			}
+			continue
+		}
+		if want := e.Attrs[0].Int; e.Parent != want {
+			t.Fatalf("%s span started from handle %d is parented under %d", e.Name, want, e.Parent)
+		}
+		if laneOf[e.Parent] != g {
+			t.Fatalf("%s span of goroutine %d attached to a span of goroutine %d", e.Name, g, laneOf[e.Parent])
+		}
+	}
+
+	Enable(dropSink{})
+	parent := Start("parent")
+	if allocs := testing.AllocsPerRun(1000, func() { parent.StartChild("leaf").End() }); allocs > 2 {
+		t.Fatalf("span start+end into a dropping sink allocates %.0f times, want <= 2", allocs)
+	}
+	parent.End()
 }
 
 // SetTrack propagates to children, including StartChild children.

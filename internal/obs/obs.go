@@ -5,33 +5,28 @@
 // communication — end to end (the accounting behind paper Figures 7-10
 // and Table II).
 //
-// The package is disabled by default and its hot-path entry points are
-// near-free when disabled: Start performs one atomic load and returns a
-// nil *Span whose methods are all nil-receiver no-ops, and counters skip
-// their atomic add. Enabling installs zero or more sinks:
+// One switch, Enable/Disable, turns the metric registry on (registry.go:
+// counters, labeled series, histograms); while it is off every entry
+// point is one atomic load. Spans are built only when something will
+// read them, that is when Enable installed at least one sink:
 //
 //   - JSONLSink: one JSON object per completed span, plus a final
 //     counters record; machine-readable event log (the input format of
 //     cmd/koala-obs).
 //   - ChromeTraceSink: Chrome trace_event JSON loadable in
 //     chrome://tracing or https://ui.perfetto.dev.
-//   - the built-in phase summary (always collected while enabled),
-//     printed with WriteSummary.
+//   - PhaseSummary: the per-span-name totals WriteSummary prints.
 //
-// Span hierarchy is explicit: every span records its parent handle, and
-// parents are resolved per goroutine. Start nests under the innermost
-// span open on the *calling* goroutine; code that fans work out to other
-// goroutines either passes a handle and calls StartChild, or binds a
-// span to the worker goroutine with Adopt so the legacy Start path nests
-// correctly inside the task body (this is what pool.Group and the kernel
-// dispatch loops do). A goroutine with no open span and no adopted span
-// attaches to the trace root — never to another goroutine's stack — so
-// concurrent spans can no longer land under a racing, surprising parent.
+// Span hierarchy is explicit: a span's parent is the handle it was
+// started from (StartChild), and a nil handle is the trace root. Nothing
+// is discovered from the calling goroutine; code that fans work out
+// hands each task its span (pool.Group), and the lattice layers carry
+// the current span in the engine value they already pass down
+// (backend.Scope). Starting and ending a span takes no lock in this
+// package; sinks synchronize themselves.
 package obs
 
 import (
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,7 +36,8 @@ import (
 // it before doing any work.
 var enabled atomic.Bool
 
-// Enabled reports whether tracing/metrics collection is on.
+// Enabled reports whether the metric registry (and, with a sink
+// installed, span collection) is on.
 func Enabled() bool { return enabled.Load() }
 
 // nextSpanID hands out span ids, unique within a process run. Ids exist
@@ -50,47 +46,49 @@ func Enabled() bool { return enabled.Load() }
 // deterministic across worker counts — analyzers must not diff them.
 var nextSpanID atomic.Int64
 
-// tracer is the package-global collector state behind the mutex.
-type goStackMap map[uint64][]*Span
-
-var tracer struct {
-	mu sync.Mutex
-	// goStacks holds the per-goroutine stacks of open spans: Start
-	// pushes onto the calling goroutine's stack, Adopt binds a span to a
-	// worker goroutine's stack. Entries are removed when a stack drains
-	// so the map does not grow with goroutine churn.
-	goStacks goStackMap
-	sinks    []Sink
-	summary  map[string]*phaseAgg
-	origin   time.Time // trace epoch for relative timestamps
+// tracerState is what a span start or end reads: immutable once
+// published, replaced whole by Enable/AddSink/Disable.
+type tracerState struct {
+	sinks  []Sink
+	origin time.Time // trace epoch for relative timestamps
 }
 
-// Enable turns collection on, installing the given sinks (zero sinks is
-// valid: counters and the phase summary are still collected). It resets
-// all counters, the summary, and the span stacks, so a run's totals
-// start from zero.
+var (
+	tracer   atomic.Pointer[tracerState] // nil while disabled
+	tracerMu sync.Mutex                  // serializes the writers of tracer
+)
+
+// installed returns the installed sinks (nil while disabled).
+func installed() []Sink {
+	if st := tracer.Load(); st != nil {
+		return st.sinks
+	}
+	return nil
+}
+
+// Enable turns collection on, installing the given sinks. Zero sinks is
+// valid and means the registry only: no span is built. It resets the
+// registry so a run's totals start from zero.
 func Enable(sinks ...Sink) {
-	tracer.mu.Lock()
-	tracer.sinks = append([]Sink(nil), sinks...)
-	tracer.goStacks = make(goStackMap)
-	tracer.summary = make(map[string]*phaseAgg)
-	tracer.origin = time.Now()
-	tracer.mu.Unlock()
+	tracerMu.Lock()
+	tracer.Store(&tracerState{sinks: append([]Sink(nil), sinks...), origin: time.Now()})
+	tracerMu.Unlock()
 	ResetCounters()
 	enabled.Store(true)
 }
 
 // AddSink attaches one more sink to an already-enabled tracer without
-// resetting counters, the summary, or the trace origin — the way a
-// driver routes its own spans into a per-run rank-trace directory after
-// -trace/-metrics already installed their sinks. No-op while disabled.
+// resetting the registry or the trace origin — the way a driver routes
+// its own spans into a per-run rank-trace directory after -trace/-metrics
+// already installed their sinks. No-op while disabled.
 func AddSink(s Sink) {
-	if !enabled.Load() || s == nil {
+	tracerMu.Lock()
+	defer tracerMu.Unlock()
+	st := tracer.Load()
+	if st == nil || s == nil {
 		return
 	}
-	tracer.mu.Lock()
-	tracer.sinks = append(tracer.sinks, s)
-	tracer.mu.Unlock()
+	tracer.Store(&tracerState{sinks: append(append([]Sink(nil), st.sinks...), s), origin: st.origin})
 }
 
 // Origin returns the trace epoch: the wall-clock instant of the Enable
@@ -99,23 +97,29 @@ func AddSink(s Sink) {
 // by pairing each log's epoch with the measured inter-process clock
 // offset.
 func Origin() time.Time {
-	tracer.mu.Lock()
-	defer tracer.mu.Unlock()
-	if !enabled.Load() {
-		return time.Time{}
+	if st := tracer.Load(); st != nil {
+		return st.origin
 	}
-	return tracer.origin
+	return time.Time{}
 }
 
 // Disable turns collection off and flushes and detaches the sinks,
 // returning the first flush error. Spans still open are dropped.
 func Disable() error {
 	enabled.Store(false)
-	tracer.mu.Lock()
-	sinks := tracer.sinks
-	tracer.sinks = nil
-	tracer.goStacks = nil
-	tracer.mu.Unlock()
+	tracerMu.Lock()
+	st := tracer.Swap(nil)
+	tracerMu.Unlock()
+	if st == nil {
+		return nil
+	}
+	return flush(st.sinks)
+}
+
+// Flush flushes every installed sink, returning the first error.
+func Flush() error { return flush(installed()) }
+
+func flush(sinks []Sink) error {
 	var first error
 	for _, s := range sinks {
 		if err := s.Flush(); err != nil && first == nil {
@@ -136,106 +140,44 @@ type Attr struct {
 	Kind uint8
 }
 
-// Span is one timed region. A nil *Span (what Start returns while
-// disabled) is valid: every method is a no-op.
+// Span is one timed region. A nil *Span is valid: it is the trace root
+// as a parent, and every other method is a no-op on it, which is what
+// all of them are while no sink is installed.
 //
 // A span is owned by the goroutine that starts it until End; the
 // attribute setters are not synchronized. The one cross-goroutine field,
-// childDur, is only touched under the tracer mutex in End.
+// childNs, is atomic: children may end on any goroutine.
 type Span struct {
-	name     string
-	start    time.Time
-	parent   *Span
-	depth    int
-	id       int64
-	track    int
-	attrs    []Attr
-	childDur time.Duration
-	// onStack/gid record which goroutine stack (if any) the span sits
-	// on, so End can pop it. Spans created with StartChild are off-stack
-	// until Adopt binds them to their executing goroutine.
-	onStack bool
-	gid     uint64
+	name    string
+	start   time.Time
+	parent  *Span
+	depth   int
+	id      int64
+	track   int
+	attrs   []Attr
+	attrBuf [4]Attr // backs attrs until a fifth attribute spills to the heap
+	childNs atomic.Int64
 }
 
-// newSpan allocates a span under parent (nil = trace root).
-func newSpan(name string, parent *Span) *Span {
-	s := &Span{name: name, start: time.Now(), parent: parent, id: nextSpanID.Add(1)}
-	if parent != nil {
-		s.depth = parent.depth + 1
-		s.track = parent.track
-	}
-	return s
-}
+// Start opens a span at the trace root: the form for code with no handle
+// in reach (a CLI's outermost region, a kernel dispatch). While no sink
+// is installed it returns nil without allocating.
+func Start(name string) *Span { return (*Span)(nil).StartChild(name) }
 
-// Start opens a span nested under the innermost span open on the calling
-// goroutine. On a goroutine with no open or adopted span the new span
-// attaches to the trace root. While disabled it returns nil without
-// allocating.
-func Start(name string) *Span {
-	if !enabled.Load() {
-		return nil
-	}
-	gid := curGoID()
-	tracer.mu.Lock()
-	var parent *Span
-	if st := tracer.goStacks[gid]; len(st) > 0 {
-		parent = st[len(st)-1]
-	}
-	s := newSpan(name, parent)
-	s.onStack, s.gid = true, gid
-	if tracer.goStacks != nil {
-		tracer.goStacks[gid] = append(tracer.goStacks[gid], s)
-	}
-	tracer.mu.Unlock()
-	pprofPush(name)
-	return s
-}
-
-// StartChild opens a span explicitly parented under s, from any
-// goroutine — the handle-passing form task schedulers use to attribute
-// work running on worker goroutines to the group that spawned it. The
-// child is not bound to any goroutine stack; call Adopt to make legacy
-// Start calls inside the task body nest under it. Returns nil on a nil
-// receiver or while disabled.
+// StartChild opens a span parented under s, from any goroutine; a nil s
+// parents it under the trace root. The child inherits s's display track.
+// Returns nil while no sink is installed.
 func (s *Span) StartChild(name string) *Span {
-	if s == nil || !enabled.Load() {
+	if st := tracer.Load(); st == nil || len(st.sinks) == 0 {
 		return nil
 	}
-	return newSpan(name, s)
-}
-
-// Adopt binds the span to the calling goroutine as its innermost open
-// span, so Start calls made by this goroutine (and kernels it invokes)
-// nest under it. End unbinds. Typically called by a task runner right
-// after StartChild, on the goroutine that will execute the task body.
-func (s *Span) Adopt() {
-	if s == nil || !enabled.Load() {
-		return
+	c := &Span{name: name, start: time.Now(), parent: s, id: nextSpanID.Add(1)}
+	c.attrs = c.attrBuf[:0]
+	if s != nil {
+		c.depth = s.depth + 1
+		c.track = s.track
 	}
-	gid := curGoID()
-	tracer.mu.Lock()
-	if tracer.goStacks != nil {
-		s.onStack, s.gid = true, gid
-		tracer.goStacks[gid] = append(tracer.goStacks[gid], s)
-	}
-	tracer.mu.Unlock()
-}
-
-// Current returns the innermost span open on the calling goroutine, or
-// nil if there is none (or collection is disabled). Kernel dispatchers
-// use it to pick up the span handle to parent worker-side chunks under.
-func Current() *Span {
-	if !enabled.Load() {
-		return nil
-	}
-	gid := curGoID()
-	tracer.mu.Lock()
-	defer tracer.mu.Unlock()
-	if st := tracer.goStacks[gid]; len(st) > 0 {
-		return st[len(st)-1]
-	}
-	return nil
+	return c
 }
 
 // SetTrack assigns the span (and, by inheritance, its future children)
@@ -292,148 +234,37 @@ type Event struct {
 	Parent int64
 	Track  int
 	Attrs  []Attr
+	// self is Dur less the time spent in children that had ended by the
+	// time the span did (the phase summary's self column).
+	self time.Duration
 }
 
-// End closes the span, attributing its duration to the phase summary and
-// emitting it to the sinks. Safe on nil receivers and after Disable.
+// End closes the span and delivers it to the sinks. Safe on nil
+// receivers and after Disable.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	dur := time.Since(s.start)
-	pprofPop()
-	if !enabled.Load() {
+	st := tracer.Load()
+	if st == nil {
 		return
-	}
-	tracer.mu.Lock()
-	if s.onStack {
-		// Pop s from its goroutine's stack; tolerate out-of-order ends
-		// by searching from the top (children ended late are simply
-		// removed where found).
-		st := tracer.goStacks[s.gid]
-		for i := len(st) - 1; i >= 0; i-- {
-			if st[i] == s {
-				st = append(st[:i], st[i+1:]...)
-				break
-			}
-		}
-		if len(st) == 0 {
-			delete(tracer.goStacks, s.gid)
-		} else {
-			tracer.goStacks[s.gid] = st
-		}
-		s.onStack = false
-	}
-	if s.parent != nil {
-		s.parent.childDur += dur
-	}
-	agg := tracer.summary[s.name]
-	if agg == nil {
-		agg = &phaseAgg{attrs: map[string]float64{}}
-		tracer.summary[s.name] = agg
-	}
-	agg.count++
-	agg.total += dur
-	self := dur - s.childDur
-	if self < 0 {
-		self = 0
-	}
-	agg.self += self
-	for _, a := range s.attrs {
-		switch a.Kind {
-		case 1:
-			agg.attrs[a.Key] += a.Num
-		case 2:
-			agg.attrs[a.Key] += float64(a.Int)
-		}
-	}
-	var parentID int64
-	if s.parent != nil {
-		parentID = s.parent.id
 	}
 	ev := Event{
 		Name:   s.name,
-		Offset: s.start.Sub(tracer.origin),
+		Offset: s.start.Sub(st.origin),
 		Dur:    dur,
 		Depth:  s.depth,
 		ID:     s.id,
-		Parent: parentID,
 		Track:  s.track,
 		Attrs:  s.attrs,
+		self:   max(0, dur-time.Duration(s.childNs.Load())),
 	}
-	sinks := tracer.sinks
-	tracer.mu.Unlock()
-	for _, sk := range sinks {
+	if s.parent != nil {
+		s.parent.childNs.Add(int64(dur))
+		ev.Parent = s.parent.id
+	}
+	for _, sk := range st.sinks {
 		sk.SpanEnd(ev)
 	}
-}
-
-// Flush flushes every installed sink, returning the first error.
-func Flush() error {
-	tracer.mu.Lock()
-	sinks := append([]Sink(nil), tracer.sinks...)
-	tracer.mu.Unlock()
-	var first error
-	for _, s := range sinks {
-		if err := s.Flush(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// phaseAgg accumulates the per-span-name summary.
-type phaseAgg struct {
-	count int64
-	total time.Duration
-	self  time.Duration
-	attrs map[string]float64
-}
-
-// PhaseStat is one row of the phase summary.
-type PhaseStat struct {
-	Name  string
-	Count int64
-	// Total is the cumulative wall time of all spans with this name;
-	// Self excludes time spent in child spans, so Self sums to the
-	// traced wall time without double counting.
-	Total time.Duration
-	Self  time.Duration
-	// Attrs holds the per-name sums of numeric span attributes (e.g.
-	// modeled_s, comm_bytes).
-	Attrs map[string]float64
-}
-
-// Summary returns the per-phase aggregation collected since Enable,
-// sorted by descending total time.
-func Summary() []PhaseStat {
-	tracer.mu.Lock()
-	defer tracer.mu.Unlock()
-	out := make([]PhaseStat, 0, len(tracer.summary))
-	for name, a := range tracer.summary {
-		attrs := make(map[string]float64, len(a.attrs))
-		for k, v := range a.attrs {
-			if !math.IsNaN(v) {
-				attrs[k] = v
-			}
-		}
-		out = append(out, PhaseStat{Name: name, Count: a.count, Total: a.total, Self: a.self, Attrs: attrs})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// ResetSummary clears the per-phase aggregation (counters are separate;
-// see ResetCounters). Useful between experiments sharing one Enable.
-func ResetSummary() {
-	tracer.mu.Lock()
-	if tracer.summary != nil {
-		tracer.summary = make(map[string]*phaseAgg)
-	}
-	tracer.mu.Unlock()
 }

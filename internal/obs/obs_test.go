@@ -36,15 +36,15 @@ func TestDisabledFastPath(t *testing.T) {
 
 func TestSpanNestingAndSummary(t *testing.T) {
 	cleanup()
-	Enable()
+	Enable(PhaseSummary())
 	defer cleanup()
 
 	outer := Start("outer")
-	inner := Start("inner")
+	inner := outer.StartChild("inner")
 	time.Sleep(time.Millisecond)
 	inner.SetFloat("modeled_s", 0.5)
 	inner.End()
-	inner2 := Start("inner")
+	inner2 := outer.StartChild("inner")
 	inner2.SetFloat("modeled_s", 0.25)
 	inner2.End()
 	outer.End()
@@ -78,22 +78,26 @@ func TestCountersAndGauges(t *testing.T) {
 	cleanup()
 	c := NewCounter("test.counter")
 	f := NewFloatCounter("test.float")
-	g := NewGauge("test.gauge")
+	Observe("test.gauge", 1) // disabled: must not create the series
 	Enable()
 	defer cleanup()
 	c.Add(3)
 	c.Add(4)
 	f.Add(1.5)
 	f.Add(2.5)
-	g.Set(0.125)
+	Observe("test.gauge", 0.5)
+	Observe("test.gauge", 0.125)
 	if c.Value() != 7 {
 		t.Fatalf("counter = %d want 7", c.Value())
 	}
 	if f.Value() != 4 {
 		t.Fatalf("float counter = %v want 4", f.Value())
 	}
-	if v, ok := g.Value(); !ok || v != 0.125 {
-		t.Fatalf("gauge = %v,%v want 0.125,true", v, ok)
+	if _, series, _ := Snapshot(); len(series) != 1 || series[0].Last != 0.125 || series[0].Sum != 0.625 || series[0].Count != 2 {
+		t.Fatalf("series = %+v, want one with last 0.125, sum 0.625, count 2", series)
+	}
+	if got := MetricValueOf("test.gauge"); got != 0.125 {
+		t.Fatalf("MetricValueOf of an unlabeled series = %v, want its last value 0.125", got)
 	}
 	if got := MetricValueOf("test.counter"); got != 7 {
 		t.Fatalf("MetricValueOf = %v want 7", got)
@@ -103,8 +107,8 @@ func TestCountersAndGauges(t *testing.T) {
 	if c.Value() != 0 || f.Value() != 0 {
 		t.Fatal("Enable should reset counters")
 	}
-	if _, ok := g.Value(); ok {
-		t.Fatal("Enable should reset gauges")
+	if _, series, _ := Snapshot(); len(series) != 0 {
+		t.Fatal("Enable should drop series")
 	}
 }
 
@@ -167,8 +171,8 @@ func TestChromeTraceSinkNesting(t *testing.T) {
 	defer cleanup()
 
 	sweep := Start("bmps.sweep")
-	contraction := Start("einsum")
-	gemm := Start("einsum.gemm")
+	contraction := sweep.StartChild("einsum")
+	gemm := contraction.StartChild("einsum.gemm")
 	time.Sleep(200 * time.Microsecond)
 	gemm.End()
 	contraction.End()
@@ -217,8 +221,7 @@ func TestConcurrentCounters(t *testing.T) {
 	cleanup()
 	c := NewCounter("test.race.counter")
 	f := NewFloatCounter("test.race.float")
-	g := NewGauge("test.race.gauge")
-	Enable()
+	Enable(PhaseSummary())
 	defer cleanup()
 
 	const workers = 8
@@ -231,7 +234,8 @@ func TestConcurrentCounters(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				c.Add(1)
 				f.Add(0.5)
-				g.Set(float64(w))
+				Observe("test.race.gauge", float64(w))
+				ObserveHist("test.race.hist", Pow2Bounds, float64(i%9), Label{"w", "x"})
 			}
 		}(w)
 	}
@@ -253,7 +257,7 @@ func TestConcurrentCounters(t *testing.T) {
 // hierarchy-meaningful) from multiple goroutines.
 func TestConcurrentSpans(t *testing.T) {
 	cleanup()
-	Enable(NewJSONLSink(&bytes.Buffer{}))
+	Enable(NewJSONLSink(&bytes.Buffer{}), PhaseSummary())
 	defer cleanup()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -281,7 +285,7 @@ func TestConcurrentSpans(t *testing.T) {
 
 func TestWriteSummaryTable(t *testing.T) {
 	cleanup()
-	Enable()
+	Enable(PhaseSummary())
 	defer cleanup()
 	sp := Start("phase.x")
 	sp.SetFloat("modeled_s", 1.5)

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"sync"
@@ -52,13 +51,7 @@ type RankSink interface {
 // EmitRank forwards a rank-timeline record to every installed sink that
 // understands it. No-op while disabled.
 func EmitRank(rec RankRecord) {
-	if !enabled.Load() {
-		return
-	}
-	tracer.mu.Lock()
-	sinks := append([]Sink(nil), tracer.sinks...)
-	tracer.mu.Unlock()
-	for _, s := range sinks {
+	for _, s := range installed() {
 		if rs, ok := s.(RankSink); ok {
 			rs.RankTimeline(rec)
 		}
@@ -135,37 +128,34 @@ type jsonlSpan struct {
 	Attrs    map[string]interface{} `json:"attrs,omitempty"`
 }
 
-// writeRecord marshals and writes one JSONL record under the lock,
-// lazily emitting the meta line first. Lazy because the epoch is the
-// tracer origin, and a sink may be constructed before (or attached
-// after) Enable sets it; by the first record the tracer is live.
-func (s *JSONLSink) writeRecord(rec interface{}) {
-	if s.err != nil {
-		return
+// write marshals one JSONL record — outside the lock, so concurrent span
+// ends serialize on the write alone — and appends it, lazily emitting the
+// meta line first. Lazy because the epoch is the tracer origin, and a
+// sink may be constructed before (or attached after) Enable sets it; by
+// the first record the tracer is live.
+func (s *JSONLSink) write(rec interface{}) {
+	b, err := json.Marshal(rec)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err == nil {
+		s.err = err
 	}
-	if !s.metaDone {
+	if s.err == nil && !s.metaDone {
 		s.metaDone = true
 		var epoch int64
 		if o := Origin(); !o.IsZero() {
 			epoch = o.UnixNano()
 		}
-		s.writeRecord(jsonlMeta{Type: "meta", Rank: s.rank, PID: os.Getpid(), EpochUnixNS: epoch})
-		if s.err != nil {
-			return
-		}
+		meta, _ := json.Marshal(jsonlMeta{Type: "meta", Rank: s.rank, PID: os.Getpid(), EpochUnixNS: epoch})
+		_, s.err = s.w.Write(append(meta, '\n'))
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		s.err = err
-		return
+	if s.err == nil {
+		_, s.err = s.w.Write(append(b, '\n'))
 	}
-	_, s.err = fmt.Fprintf(s.w, "%s\n", b)
 }
 
 func (s *JSONLSink) SpanEnd(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.writeRecord(jsonlSpan{
+	s.write(jsonlSpan{
 		Type:     "span",
 		Name:     e.Name,
 		ID:       e.ID,
@@ -186,9 +176,7 @@ func (s *JSONLSink) SpanEnd(e Event) {
 // log by orders of magnitude.
 func (s *JSONLSink) RankTimeline(rec RankRecord) {
 	rec.Segments = nil
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.writeRecord(struct {
+	s.write(struct {
 		Type string `json:"type"`
 		RankRecord
 	}{"rank", rec})
@@ -196,19 +184,16 @@ func (s *JSONLSink) RankTimeline(rec RankRecord) {
 
 // Flush appends the metrics record and returns any accumulated error.
 func (s *JSONLSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return s.err
-	}
 	metrics := map[string]float64{}
 	for _, m := range Metrics() {
 		metrics[m.Name] = m.Value
 	}
-	s.writeRecord(struct {
+	s.write(struct {
 		Type    string             `json:"type"`
 		Metrics map[string]float64 `json:"metrics"`
 	}{"metrics", metrics})
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.err
 }
 

@@ -16,7 +16,7 @@ func buildLog(t *testing.T) ([]byte, []obs.PhaseStat) {
 	t.Helper()
 	obs.Disable()
 	var buf bytes.Buffer
-	obs.Enable(obs.NewJSONLSink(&buf))
+	obs.Enable(obs.NewJSONLSink(&buf), obs.PhaseSummary())
 	cnt := obs.NewCounter("dist.test.ops")
 	cnt.Add(42)
 
@@ -26,8 +26,7 @@ func buildLog(t *testing.T) ([]byte, []obs.PhaseStat) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			task.Adopt()
-			leaf := obs.Start("leaf").SetInt("flops", 1000)
+			leaf := task.StartChild("leaf").SetInt("flops", 1000)
 			time.Sleep(200 * time.Microsecond)
 			leaf.End()
 			task.End()

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strconv"
 
+	"gokoala/internal/einsumsvd"
 	"gokoala/internal/obs"
-	"gokoala/internal/telemetry"
 )
 
 // kernel is the seam between the lattice algorithms and a tensor kind:
@@ -17,11 +17,17 @@ type kernel[T any] interface {
 	qrSplit(t T, leftAxes int) (q, r T)
 	// factor evaluates a split spec, panicking on a malformed one (the
 	// specs below are constants).
-	factor(spec string, rank int, ops ...T) (a, b T, s []float64)
+	// It also returns the relative weight the rank cap discarded, or
+	// einsumsvd.TruncUnknown when the factorization does not report it.
+	factor(spec string, rank int, ops ...T) (a, b T, s []float64, truncErr float64)
 	// gate4 returns a two-site gate as a tensor [i,j,p,q] over (site1,
 	// site2); swap is the SWAP gate in that form, for routing.
 	gate4(g T) T
 	swap() T
+	// scope opens a span under the one the kernel's engine carries and
+	// returns the kernel bound to it (see backend.Scope); nil, nil while
+	// untraced.
+	scope(name string) (kernel[T], *obs.Span)
 }
 
 // bondDir is a row of the direction table: what distinguishes the update
@@ -75,15 +81,14 @@ func newUpdater[T siteTensor[T]](lat *lattice[T], k kernel[T], label string, opt
 
 // bond is the two-site update, written once: it applies g4 to the sites
 // joined by the d-bond whose first (upper or left) site is (r,c), the
-// gate's first qubit on that site, and returns the kept singular values.
-func (u *updater[T]) bond(g4 T, d *bondDir, r, c int) []float64 {
+// gate's first qubit on that site, and returns the kept singular values
+// with the truncation error of this bond (see kernel.factor).
+func (u *updater[T]) bond(g4 T, d *bondDir, r, c int) (s []float64, truncErr float64) {
 	sites := u.lat.sites
 	a, b := sites[r][c], sites[r+d.dr][c+d.dc]
 	var na, nb T
-	var s []float64
-	telemetry.ClearPendingTrunc()
 	if u.direct {
-		na, nb, s = u.k.factor(d.direct, u.rank, a, b, g4)
+		na, nb, s, truncErr = u.k.factor(d.direct, u.rank, a, b, g4)
 	} else {
 		// Paper Algorithm 1, steps (1)->(2): QR with environment bonds as
 		// rows and (shared bond, phys) as columns.
@@ -93,15 +98,15 @@ func (u *updater[T]) bond(g4 T, d *bondDir, r, c int) []float64 {
 		qa, ra := u.k.qrSplit(a, 3) // [env..., k], [k,x,p]
 		qb, rb := u.k.qrSplit(b.Transpose(d.permB...), 3)
 		// Step (2)->(4): einsumsvd on the small network.
-		rka, rkb, sk := u.k.factor("kxp,lxq,ijpq->kin|nlj", u.rank, ra, rb, g4)
-		s = sk
+		var rka, rkb T
+		rka, rkb, s, truncErr = u.k.factor("kxp,lxq,ijpq->kin|nlj", u.rank, ra, rb, g4)
 		// Step (4)->(5): multiply the Q factors back.
 		na = u.k.einsum(d.backA, qa, rka)
 		nb = u.k.einsum(d.backB, qb, rkb)
 	}
-	recordBondUpdate(d.name, r, c, len(s))
+	recordBondUpdate(d.name, r, c, len(s), truncErr)
 	sites[r][c], sites[r+d.dr][c+d.dc] = na, nb
-	return s
+	return s, truncErr
 }
 
 // plainStep is the per-bond truncation: the update, then the optional
@@ -114,26 +119,24 @@ func (u *updater[T]) plainStep(g4 T, d *bondDir, r, c int) float64 {
 	return u.lat.siteLogNorm(r, c) + u.lat.siteLogNorm(r+d.dr, c+d.dc)
 }
 
-// recordBondUpdate publishes one two-site update's telemetry: the new
-// bond dimension as a per-bond labeled series plus a lattice-wide
-// histogram, and — when the factorization went through an explicit
-// truncated SVD on this goroutine — the per-bond discarded spectral
-// weight it stashed. Bonds are labeled by direction and the (row, col)
-// of the gate's first site. One atomic load when no listener is
-// attached.
-func recordBondUpdate(dir string, r, c, dim int) {
-	if !telemetry.Active() {
+// recordBondUpdate publishes one two-site update: the new bond dimension
+// as a per-bond labeled series plus a lattice-wide histogram, and — when
+// the factorization reported it — the discarded spectral weight of this
+// bond's truncation. Bonds are labeled by direction and the (row, col)
+// of the gate's first site. One atomic load while collection is off.
+func recordBondUpdate(dir string, r, c, dim int, truncErr float64) {
+	if !obs.Enabled() {
 		return
 	}
-	labels := []telemetry.Label{
+	labels := []obs.Label{
 		{Key: "dir", Value: dir},
 		{Key: "row", Value: strconv.Itoa(r)},
 		{Key: "col", Value: strconv.Itoa(c)},
 	}
-	telemetry.Observe("peps.bond_dim", float64(dim), labels...)
-	telemetry.ObserveHist("peps.bond_dim_hist", telemetry.Pow2Bounds, float64(dim))
-	if te, ok := telemetry.TakePendingTrunc(); ok {
-		telemetry.Observe("peps.bond_trunc_error", te, labels...)
+	obs.Observe("peps.bond_dim", float64(dim), labels...)
+	obs.ObserveHist("peps.bond_dim_hist", obs.Pow2Bounds, float64(dim))
+	if truncErr != einsumsvd.TruncUnknown {
+		obs.Observe("peps.bond_trunc_error", truncErr, labels...)
 	}
 }
 
@@ -243,8 +246,17 @@ func (u *updater[T]) twoSite(g T, site1, site2 int) float64 {
 	if site1 == site2 {
 		panic("peps: two-site gate on identical sites")
 	}
-	sp := obs.Start("peps.update").SetStr("method", u.label)
-	defer sp.End()
+	if k, sp := u.k.scope("peps.update"); sp != nil {
+		// The gate's kernel calls run under its span; the updater gets
+		// its own kernel back afterwards.
+		sp.SetStr("method", u.label)
+		outer := u.k
+		u.k = k
+		defer func() {
+			u.k = outer
+			sp.End()
+		}()
+	}
 	g4 := u.k.gate4(g)
 	steps := bondSteps(r1, c1, r2, c2)
 	var swap T

@@ -5,10 +5,9 @@ import (
 	"math"
 	"math/cmplx"
 
+	"gokoala/internal/backend"
 	"gokoala/internal/einsumsvd"
 	"gokoala/internal/mps"
-	"gokoala/internal/obs"
-	"gokoala/internal/pool"
 	"gokoala/internal/tensor"
 )
 
@@ -73,8 +72,8 @@ func (p *PEPS) ContractScalar(opt ContractOption) complex128 {
 			}
 		}
 	}
-	sp := obs.Start("bmps.sweep").SetStr("algorithm", opt.Name()).
-		SetInt("rows", int64(p.Rows)).SetInt("cols", int64(p.Cols))
+	p, sp := p.scope("bmps.sweep")
+	sp.SetStr("algorithm", opt.Name()).SetInt("rows", int64(p.Rows)).SetInt("cols", int64(p.Cols))
 	defer sp.End()
 
 	var m int
@@ -98,25 +97,22 @@ func (p *PEPS) ContractScalar(opt ContractOption) complex128 {
 	// on the pool size.
 	if sts := einsumsvd.Fork(st, 2); m > 0 && p.Rows >= 2 && sts != nil {
 		mid := p.Rows / 2
-		f := p.FlipVertical()
-		var top, bottom *mps.MPS
-		g := pool.NewGroup("bmps.bisect")
-		g.Go(func() {
-			top = p.rowMPS(0)
-			for r := 1; r < mid; r++ {
-				top = mps.ApplyMPOZipUp(p.eng, top, p.rowMPO(r), m, sts[0])
+		halves := [2]*PEPS{p, p.FlipVertical()}
+		var swept [2]*mps.MPS
+		fanOut(p.eng, "bmps.bisect", 2, func(i int, eng backend.Engine) {
+			h, rows := halves[i].on(eng), mid
+			if i == 1 {
+				rows = p.Rows - mid
 			}
-		})
-		g.Go(func() {
-			bottom = f.rowMPS(0)
-			for r := 1; r < p.Rows-mid; r++ {
-				bottom = mps.ApplyMPOZipUp(p.eng, bottom, f.rowMPO(r), m, sts[1])
+			s := h.rowMPS(0)
+			for r := 1; r < rows; r++ {
+				s = mps.ApplyMPOZipUp(eng, s, h.rowMPO(r), m, sts[i])
 			}
+			swept[i] = s
 		})
-		g.Wait()
-		// top carries the down bonds of row mid-1, bottom the up bonds of
-		// row mid — the same cut, joined without conjugation.
-		return mps.CloseWith(p.eng, top, bottom) * complex(math.Exp(p.LogScale), 0)
+		// The top half carries the down bonds of row mid-1, the bottom half
+		// the up bonds of row mid — the same cut, joined without conjugation.
+		return mps.CloseWith(p.eng, swept[0], swept[1]) * complex(math.Exp(p.LogScale), 0)
 	}
 
 	s := p.rowMPS(0)
@@ -174,15 +170,14 @@ func MergeLayers(bra, ket *PEPS) *PEPS {
 	if bra.Rows != ket.Rows || bra.Cols != ket.Cols {
 		panic("peps: lattice size mismatch")
 	}
-	sp := obs.Start("peps.merge_layers")
+	eng, sp := backend.Scope(bra.eng, "peps.merge_layers")
 	defer sp.End()
-	eng := bra.eng
 	sites := make([][]*tensor.Dense, bra.Rows)
 	for r := 0; r < bra.Rows; r++ {
 		sites[r] = make([]*tensor.Dense, bra.Cols)
 	}
 	// Per-site merges are independent; fan them out across the pool.
-	pool.Tasks("peps.merge", bra.Rows*bra.Cols, func(i int) {
+	fanOut(eng, "peps.merge", bra.Rows*bra.Cols, func(i int, eng backend.Engine) {
 		r, c := i/bra.Cols, i%bra.Cols
 		a := bra.sites[r][c].Conj()
 		b := ket.sites[r][c]
@@ -190,7 +185,7 @@ func MergeLayers(bra, ket *PEPS) *PEPS {
 		sh := m.Shape()
 		sites[r][c] = m.Reshape(sh[0]*sh[1], sh[2]*sh[3], sh[4]*sh[5], sh[6]*sh[7], 1)
 	})
-	out := New(eng, sites)
+	out := New(bra.eng, sites) // not the scoped engine: out outlives this span
 	out.LogScale = bra.LogScale + ket.LogScale
 	return out
 }
@@ -199,7 +194,8 @@ func MergeLayers(bra, ket *PEPS) *PEPS {
 // BMPS merge the two layers into a one-layer network first; TwoLayerBMPS
 // keeps the layers implicit (see twolayer.go).
 func (p *PEPS) Inner(q *PEPS, opt ContractOption) complex128 {
-	sp := obs.Start("peps.inner").SetStr("algorithm", opt.Name())
+	p, sp := p.scope("peps.inner")
+	sp.SetStr("algorithm", opt.Name())
 	defer sp.End()
 	if tl, ok := opt.(TwoLayerBMPS); ok {
 		return innerTwoLayer(p, q, tl)

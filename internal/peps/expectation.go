@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math"
 
+	"gokoala/internal/backend"
 	"gokoala/internal/einsumsvd"
 	"gokoala/internal/health"
-	"gokoala/internal/obs"
-	"gokoala/internal/pool"
 	"gokoala/internal/quantum"
 	"gokoala/internal/tensor"
 )
@@ -38,7 +37,8 @@ func (p *PEPS) Expectation(h *quantum.Observable, opts ExpectationOptions) compl
 	if ms := h.MaxSite(); ms >= p.Rows*p.Cols {
 		panic(fmt.Sprintf("peps: observable touches site %d beyond lattice size %d", ms, p.Rows*p.Cols))
 	}
-	sp := obs.Start("peps.expectation").SetInt("terms", int64(len(h.Terms)))
+	p, sp := p.scope("peps.expectation")
+	sp.SetInt("terms", int64(len(h.Terms)))
 	defer sp.End()
 	var v complex128
 	if opts.UseCache {
@@ -135,20 +135,21 @@ func (p *PEPS) expectationDirect(h *quantum.Observable, opts ExpectationOptions)
 		}
 		return num / den
 	}
-	var den complex128
-	vals := make([]complex128, n)
-	g := pool.NewGroup("peps.expectation.terms")
-	g.Go(func() { den = p.Inner(p, TwoLayerBMPS{M: opts.M, Strategy: sts[0]}) })
-	for i, t := range prods {
-		i, t := i, t
-		g.Go(func() {
-			vals[i] = t.coef * p.Inner(p.applyProduct(t), TwoLayerBMPS{M: opts.M, Strategy: sts[1+i]})
-		})
-	}
-	g.Wait()
+	// Task 0 is the norm, task 1+i the i-th product.
+	vals := make([]complex128, 1+n)
+	fanOut(p.eng, "peps.expectation.terms", 1+n, func(i int, eng backend.Engine) {
+		q, opt := p.on(eng), TwoLayerBMPS{M: opts.M, Strategy: sts[i]}
+		if i == 0 {
+			vals[0] = q.Inner(q, opt)
+		} else {
+			t := prods[i-1]
+			vals[i] = t.coef * q.Inner(q.applyProduct(t), opt)
+		}
+	})
+	den := vals[0]
 	health.CheckValue("peps.norm", den)
 	var num complex128
-	for _, v := range vals {
+	for _, v := range vals[1:] {
 		num += v
 	}
 	return num / den
@@ -171,10 +172,13 @@ func (p *PEPS) expectationCached(h *quantum.Observable, opts ExpectationOptions)
 		tops = p.TopEnvironments(opts.M, opts.Strategy)
 		bottoms = p.BottomEnvironments(opts.M, opts.Strategy)
 	} else {
-		eg := pool.NewGroup("peps.expectation.env")
-		eg.Go(func() { tops = p.TopEnvironments(opts.M, sts[0]) })
-		eg.Go(func() { bottoms = p.BottomEnvironments(opts.M, sts[1]) })
-		eg.Wait()
+		fanOut(p.eng, "peps.expectation.env", 2, func(i int, eng backend.Engine) {
+			if i == 0 {
+				tops = p.on(eng).TopEnvironments(opts.M, sts[0])
+			} else {
+				bottoms = p.on(eng).BottomEnvironments(opts.M, sts[1])
+			}
+		})
 	}
 	den := closeBoundaries(p.eng, tops[0], bottoms[0])
 	health.CheckValue("peps.norm", den)
@@ -183,31 +187,28 @@ func (p *PEPS) expectationCached(h *quantum.Observable, opts ExpectationOptions)
 	// per product and row.
 	bra := make([][]*tensor.Dense, p.Rows)
 	for r := range bra {
-		bra[r] = conjRow(p.row(r))
+		bra[r] = conjRow(p.eng, p.row(r))
 	}
-	strip := func(t productTerm, st einsumsvd.Strategy) complex128 {
+	strip := func(eng backend.Engine, t productTerm, st einsumsvd.Strategy) complex128 {
 		rlo, rhi := p.termRowSpan(t.sites)
-		phi := p.applyProduct(t)
+		phi := p.on(eng).applyProduct(t)
 		s := tops[rlo]
 		for r := rlo; r <= rhi; r++ {
-			s = applyTwoLayerRow(p.eng, s, bra[r], phi.row(r), opts.M, st)
+			s = applyTwoLayerRow(eng, s, bra[r], phi.row(r), opts.M, st)
 		}
-		return t.coef * closeBoundaries(p.eng, s, bottoms[rhi+1])
+		return t.coef * closeBoundaries(eng, s, bottoms[rhi+1])
 	}
 	var num complex128
 	if sts == nil {
 		for _, t := range prods {
-			num += strip(t, opts.Strategy)
+			num += strip(p.eng, t, opts.Strategy)
 		}
 		return num / den
 	}
 	vals := make([]complex128, n)
-	tg := pool.NewGroup("peps.expectation.terms")
-	for i, t := range prods {
-		i, t := i, t
-		tg.Go(func() { vals[i] = strip(t, sts[2+i]) })
-	}
-	tg.Wait()
+	fanOut(p.eng, "peps.expectation.terms", n, func(i int, eng backend.Engine) {
+		vals[i] = strip(eng, prods[i], sts[2+i])
+	})
 	for _, v := range vals {
 		num += v
 	}

@@ -6,9 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"gokoala/internal/einsumsvd"
 	"gokoala/internal/obs"
 	"gokoala/internal/quantum"
-	"gokoala/internal/telemetry"
 	"gokoala/internal/tensor"
 )
 
@@ -39,6 +39,10 @@ type updateKind struct {
 
 type kindState interface {
 	apply(t *testing.T, g *tensor.Dense, site1, site2 int)
+	// truncate applies g capping the bond at rank with the kind's default
+	// (explicit) strategy passed through wrap; wrap is nil for kinds that
+	// accept only the explicit strategy itself.
+	truncate(t *testing.T, g *tensor.Dense, site1, site2, rank int, wrap func(einsumsvd.Strategy) einsumsvd.Strategy)
 	transposed(t *testing.T) kindState
 	dense() *PEPS
 }
@@ -51,6 +55,10 @@ type plainState struct {
 func (s plainState) apply(_ *testing.T, g *tensor.Dense, site1, site2 int) {
 	s.p.ApplyTwoSite(g, site1, site2, UpdateOptions{Method: s.method, Normalize: true})
 }
+func (s plainState) truncate(_ *testing.T, g *tensor.Dense, site1, site2, rank int, wrap func(einsumsvd.Strategy) einsumsvd.Strategy) {
+	s.p.ApplyTwoSite(g, site1, site2, UpdateOptions{Rank: rank, Method: s.method, Normalize: true,
+		Strategy: wrap(einsumsvd.Explicit{Mode: einsumsvd.SigmaBoth})})
+}
 func (s plainState) transposed(*testing.T) kindState {
 	return plainState{s.p.TransposeLattice(), s.method}
 }
@@ -60,6 +68,10 @@ type weightedState struct{ su *SimpleUpdate }
 
 func (s weightedState) apply(_ *testing.T, g *tensor.Dense, site1, site2 int) {
 	s.su.ApplyGate(quantum.TrotterGate{Sites: []int{site1, site2}, Gate: g}, 0, nil)
+}
+func (s weightedState) truncate(_ *testing.T, g *tensor.Dense, site1, site2, rank int, wrap func(einsumsvd.Strategy) einsumsvd.Strategy) {
+	s.su.ApplyGate(quantum.TrotterGate{Sites: []int{site1, site2}, Gate: g}, rank,
+		wrap(einsumsvd.Explicit{Mode: einsumsvd.SigmaNone}))
 }
 func (s weightedState) transposed(*testing.T) kindState {
 	su := s.su
@@ -84,11 +96,14 @@ type symState struct {
 }
 
 func (s symState) apply(t *testing.T, g *tensor.Dense, site1, site2 int) {
+	s.truncate(t, g, site1, site2, 0, nil)
+}
+func (s symState) truncate(t *testing.T, g *tensor.Dense, site1, site2, rank int, _ func(einsumsvd.Strategy) einsumsvd.Strategy) {
 	sg, ok := SymTwoSiteGate(g, s.p.Mod())
 	if !ok {
 		t.Fatal("gate must conserve charge")
 	}
-	s.p.ApplyTwoSite(sg, site1, site2, UpdateOptions{Method: s.method, Normalize: true})
+	s.p.ApplyTwoSite(sg, site1, site2, UpdateOptions{Rank: rank, Method: s.method, Normalize: true})
 }
 func (s symState) transposed(*testing.T) kindState {
 	sites := make([][]*tensor.Sym, s.p.Cols)
@@ -196,24 +211,50 @@ func (l *spanLog) SpanEnd(e obs.Event) {
 }
 func (*spanLog) Flush() error { return nil }
 
+// forwarding passes Factor on and nothing else, like the benchmark
+// harness's counting strategy: it hides the inner strategy's optional
+// capabilities, the truncation error among them.
+type forwarding struct{ einsumsvd.Strategy }
+
+// seriesOf returns the named series of the registry keyed by their labels
+// rendered "k=v k=v ".
+func seriesOf(name string) map[string]obs.SeriesSnapshot {
+	_, series, _ := obs.Snapshot()
+	out := map[string]obs.SeriesSnapshot{}
+	for _, s := range series {
+		if s.Name == name {
+			key := ""
+			for _, l := range s.Labels {
+				key += l.Key + "=" + l.Value + " "
+			}
+			out[key] = s
+		}
+	}
+	return out
+}
+
 // TestEveryKindOfUpdateIsObservable applies one gate per direction to
-// each kind of state with tracing and telemetry on: each must close a
+// each kind of state with tracing and the registry on: each must close a
 // peps.update span carrying its method and publish the peps.bond_dim
-// series of the bond it updated. The weighted update once did neither.
+// series of the bond it updated (the weighted update once did neither).
+// Then the truncation error, which travels as a return value from the
+// factorization to the bond: a truncating update publishes
+// peps.bond_trunc_error for its bond equal to linalg.TruncError of the
+// full spectrum — which linalg publishes as svd.trunc_error from the same
+// decomposition — even with a boundary-MPS compression run on this
+// goroutine just before; and behind a strategy that only forwards Factor
+// the series is absent, not stale.
 func TestEveryKindOfUpdateIsObservable(t *testing.T) {
 	for _, kind := range updateKinds() {
 		t.Run(kind.name, func(t *testing.T) {
 			p := kind.build(t)
 			log := &spanLog{}
 			obs.Enable(log)
-			telemetry.Reset()
-			telemetry.SetActive(true)
 			t.Cleanup(func() {
-				telemetry.SetActive(false)
-				telemetry.Reset()
 				if err := obs.Disable(); err != nil {
 					t.Error(err)
 				}
+				obs.ResetCounters()
 			})
 			rng := rand.New(rand.NewSource(65))
 			p.apply(t, conservingGate(rng), 3, 4) // horizontal bond (1,0)-(1,1)
@@ -233,26 +274,53 @@ func TestEveryKindOfUpdateIsObservable(t *testing.T) {
 			if updates != 2 {
 				t.Fatalf("%d peps.update spans with method=%s, want 2", updates, kind.method)
 			}
-			series, hists := telemetry.Snapshot()
-			bonds := map[string]bool{}
-			for _, s := range series {
-				if s.Name == "peps.bond_dim" && s.Count == 1 {
-					key := ""
-					for _, l := range s.Labels {
-						key += l.Key + "=" + l.Value + " "
-					}
-					bonds[key] = true
-				}
-			}
-			if !bonds["dir=h row=1 col=0 "] || !bonds["dir=v row=0 col=2 "] || len(bonds) != 2 {
+			bonds := seriesOf("peps.bond_dim")
+			if bonds["dir=h row=1 col=0 "].Count != 1 || bonds["dir=v row=0 col=2 "].Count != 1 || len(bonds) != 2 {
 				t.Fatalf("peps.bond_dim series %v, want one for each updated bond", bonds)
 			}
+			_, _, hists := obs.Snapshot()
+			recorded := false
 			for _, h := range hists {
-				if h.Name == "peps.bond_dim_hist" && h.Count == 2 {
-					return
-				}
+				recorded = recorded || h.Name == "peps.bond_dim_hist" && h.Count == 2
 			}
-			t.Fatal("peps.bond_dim_hist did not record the two updates")
+			if !recorded {
+				t.Fatal("peps.bond_dim_hist did not record the two updates")
+			}
+
+			// A compression on this goroutine leaves its own error in
+			// svd.trunc_error; the update after it must report its own.
+			compress := func() float64 {
+				obs.ResetCounters()
+				p.dense().Norm(BMPS{M: 2, Strategy: einsumsvd.Explicit{}})
+				return seriesOf("svd.trunc_error")[""].Last
+			}
+			plain := func(st einsumsvd.Strategy) einsumsvd.Strategy { return st }
+			const bond = "dir=h row=1 col=0 "
+			stale := compress()
+			p.truncate(t, conservingGate(rng), 3, 4, 2, plain)
+			got, ok := seriesOf("peps.bond_trunc_error")[bond]
+			want := seriesOf("svd.trunc_error")[""].Last
+			if !ok || got.Count != 1 {
+				t.Fatalf("peps.bond_trunc_error{%s} not published once: %+v", bond, seriesOf("peps.bond_trunc_error"))
+			}
+			if want < 1e-4 || want == stale {
+				t.Fatalf("reference error %g (compression left %g): the update must truncate for real", want, stale)
+			}
+			if d := got.Last - want; d > 1e-7 || d < -1e-7 {
+				t.Fatalf("peps.bond_trunc_error = %.10g, linalg.TruncError of the spectrum %.10g (compression left %.10g)", got.Last, want, stale)
+			}
+
+			if kind.name == "sym" || kind.name == "sym-direct" {
+				return // block-sparse updates take the explicit strategy only
+			}
+			compress()
+			p.truncate(t, conservingGate(rng), 3, 4, 2, func(st einsumsvd.Strategy) einsumsvd.Strategy { return forwarding{st} })
+			if seriesOf("peps.bond_dim")[bond].Count != 1 {
+				t.Fatal("the update behind the forwarding strategy did not publish its bond dimension")
+			}
+			if stale := seriesOf("peps.bond_trunc_error"); len(stale) != 0 {
+				t.Fatalf("forwarding strategy reports no truncation error, yet the series reads %+v", stale)
+			}
 		})
 	}
 }

@@ -18,6 +18,8 @@ import (
 	"math/rand"
 
 	"gokoala/internal/backend"
+	"gokoala/internal/obs"
+	"gokoala/internal/pool"
 	"gokoala/internal/tensor"
 )
 
@@ -32,6 +34,36 @@ type PEPS struct {
 // site grid.
 func (p *PEPS) with(sites [][]*tensor.Dense) *PEPS {
 	return &PEPS{lattice: gridOf(sites, p.LogScale), eng: p.eng}
+}
+
+// on returns p computing through eng: the same sites (shared, not copied)
+// and scale. It is how a span handle reaches the methods that read p.eng:
+// a method that opens a span, and a task handed one, continue on the
+// state bound to the engine that carries it.
+func (p *PEPS) on(eng backend.Engine) *PEPS {
+	q := *p
+	q.eng = eng
+	return &q
+}
+
+// scope opens a span named name under the one p's engine carries and
+// returns p bound to it (see backend.Scope); p itself while untraced.
+// States built from the returned one inherit the span, so it must End
+// after the last of them is used.
+func (p *PEPS) scope(name string) (*PEPS, *obs.Span) {
+	eng, sp := backend.Scope(p.eng, name)
+	if sp == nil {
+		return p, nil
+	}
+	return p.on(eng), sp
+}
+
+// fanOut runs body(0..n-1) as one pool task group under the span eng
+// carries, handing each body eng bound to its task span.
+func fanOut(eng backend.Engine, name string, n int, body func(i int, eng backend.Engine)) {
+	pool.Tasks(backend.SpanOf(eng), name, n, func(i int, task *obs.Span) {
+		body(i, backend.Under(eng, task))
+	})
 }
 
 // New wraps a grid of site tensors after validating shapes and bond

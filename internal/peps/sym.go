@@ -225,8 +225,17 @@ func (k symKernel) qrSplit(t *tensor.Sym, leftAxes int) (*tensor.Sym, *tensor.Sy
 	return k.eng.SymQRSplit(t, leftAxes)
 }
 
-func (k symKernel) factor(spec string, rank int, ops ...*tensor.Sym) (*tensor.Sym, *tensor.Sym, []float64) {
+func (k symKernel) factor(spec string, rank int, ops ...*tensor.Sym) (*tensor.Sym, *tensor.Sym, []float64, float64) {
 	return einsumsvd.MustSymFactor(k.eng, k.mode, spec, rank, ops...)
+}
+
+func (k symKernel) scope(name string) (kernel[*tensor.Sym], *obs.Span) {
+	eng, sp := backend.Scope(k.eng, name)
+	if sp == nil {
+		return nil, nil
+	}
+	k.eng = eng.(backend.SymEngine) // Scope keeps the engine's kind
+	return k, sp
 }
 
 func (symKernel) gate4(g *tensor.Sym) *tensor.Sym { return g }
@@ -274,9 +283,12 @@ func (p *SymPEPS) ApplyGate(g SymGate, opts UpdateOptions) {
 // keeps results bit-identical at any worker count with no wave
 // scheduling or delta reduction needed.
 func (p *SymPEPS) ApplyCircuit(gates []SymGate, opts UpdateOptions) {
-	sp := obs.Start("peps.circuit").SetInt("gates", int64(len(gates)))
+	eng, sp := backend.Scope(p.eng, "peps.circuit")
+	sp.SetInt("gates", int64(len(gates)))
 	defer sp.End()
+	q := *p // shares p's sites; the scale deltas are summed on p
+	q.eng = eng.(backend.SymEngine)
 	for _, g := range gates {
-		p.ApplyGate(g, opts)
+		p.LogScale += q.updater(opts).gate(g.Sites, g.Gate)
 	}
 }

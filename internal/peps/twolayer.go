@@ -42,10 +42,11 @@ func (b boundary) maxBond() int {
 
 // conjRow returns the conjugated site tensors of one bra row, the form
 // applyTwoLayerRow takes the bra layer in. The per-column conjugates are
-// independent, so they fan out across the pool.
-func conjRow(row []*tensor.Dense) []*tensor.Dense {
+// independent, so they fan out across the pool (a task group under the
+// span eng carries).
+func conjRow(eng backend.Engine, row []*tensor.Dense) []*tensor.Dense {
 	conjs := make([]*tensor.Dense, len(row))
-	pool.Tasks("twolayer.conj", len(row), func(c int) { conjs[c] = row[c].Conj() })
+	pool.Tasks(backend.SpanOf(eng), "twolayer.conj", len(row), func(c int, _ *obs.Span) { conjs[c] = row[c].Conj() })
 	return conjs
 }
 
@@ -61,7 +62,10 @@ func conjRow(row []*tensor.Dense) []*tensor.Dense {
 // operator — the bra and ket sites are never contracted into an r^2-bond
 // MPO tensor, realizing the two-layer IBMPS costs of paper Table II.
 func applyTwoLayerRow(eng backend.Engine, s boundary, braConj, ketRow []*tensor.Dense, m int, st einsumsvd.Strategy) boundary {
-	sp := obs.Start("twolayer.row").SetInt("boundary_bond", int64(s.maxBond()))
+	eng, sp := backend.Scope(eng, "twolayer.row")
+	if sp != nil {
+		sp.SetInt("boundary_bond", int64(s.maxBond()))
+	}
 	defer sp.End()
 	cols := len(s)
 	out := make(boundary, cols)
@@ -115,10 +119,9 @@ func innerTwoLayer(bra, ket *PEPS, opt TwoLayerBMPS) complex128 {
 	if bra.Rows != ket.Rows || bra.Cols != ket.Cols {
 		panic("peps: lattice size mismatch")
 	}
-	sp := obs.Start("bmps.sweep").SetStr("algorithm", opt.Name()).
-		SetInt("rows", int64(bra.Rows)).SetInt("cols", int64(bra.Cols))
+	eng, sp := backend.Scope(bra.eng, "bmps.sweep")
+	sp.SetStr("algorithm", opt.Name()).SetInt("rows", int64(bra.Rows)).SetInt("cols", int64(bra.Cols))
 	defer sp.End()
-	eng := bra.eng
 	scale := complex(math.Exp(bra.LogScale+ket.LogScale), 0)
 
 	// Bisected contraction: a top-down sweep over rows 0..mid-1 and a
@@ -128,28 +131,25 @@ func innerTwoLayer(bra, ket *PEPS, opt TwoLayerBMPS) complex128 {
 	// results do not depend on the pool size.
 	if sts := einsumsvd.Fork(opt.Strategy, 2); bra.Rows >= 2 && sts != nil {
 		mid := bra.Rows / 2
-		fb, fk := bra.FlipVertical(), ket.FlipVertical()
-		var top, bottom boundary
-		g := pool.NewGroup("bmps.bisect")
-		g.Go(func() {
-			top = trivialBoundary(bra.Cols)
-			for r := 0; r < mid; r++ {
-				top = applyTwoLayerRow(eng, top, conjRow(bra.row(r)), ket.row(r), opt.M, sts[0])
+		bras, kets := [2]*PEPS{bra, bra.FlipVertical()}, [2]*PEPS{ket, ket.FlipVertical()}
+		var swept [2]boundary
+		fanOut(eng, "bmps.bisect", 2, func(i int, eng backend.Engine) {
+			rows := mid
+			if i == 1 {
+				rows = bra.Rows - mid
 			}
-		})
-		g.Go(func() {
-			bottom = trivialBoundary(bra.Cols)
-			for r := 0; r < bra.Rows-mid; r++ {
-				bottom = applyTwoLayerRow(eng, bottom, conjRow(fb.row(r)), fk.row(r), opt.M, sts[1])
+			s := trivialBoundary(bra.Cols)
+			for r := 0; r < rows; r++ {
+				s = applyTwoLayerRow(eng, s, conjRow(eng, bras[i].row(r)), kets[i].row(r), opt.M, sts[i])
 			}
+			swept[i] = s
 		})
-		g.Wait()
-		return closeBoundaries(eng, top, bottom) * scale
+		return closeBoundaries(eng, swept[0], swept[1]) * scale
 	}
 
 	s := trivialBoundary(bra.Cols)
 	for r := 0; r < bra.Rows; r++ {
-		s = applyTwoLayerRow(eng, s, conjRow(bra.row(r)), ket.row(r), opt.M, opt.Strategy)
+		s = applyTwoLayerRow(eng, s, conjRow(eng, bra.row(r)), ket.row(r), opt.M, opt.Strategy)
 	}
 	v := closeBoundaries(eng, s, trivialBoundary(bra.Cols))
 	return v * scale
@@ -159,7 +159,8 @@ func innerTwoLayer(bra, ket *PEPS, opt TwoLayerBMPS) complex128 {
 // two-layer partial contraction of rows 0..k-1 of <p|p> (tops[0] is
 // trivial). These are the cached intermediates of paper section IV-B.
 func (p *PEPS) TopEnvironments(m int, st einsumsvd.Strategy) []boundary {
-	sp := obs.Start("peps.environments").SetStr("side", "top")
+	p, sp := p.scope("peps.environments")
+	sp.SetStr("side", "top")
 	defer sp.End()
 	return p.topEnvironments(m, st)
 }
@@ -168,7 +169,7 @@ func (p *PEPS) topEnvironments(m int, st einsumsvd.Strategy) []boundary {
 	tops := make([]boundary, p.Rows+1)
 	tops[0] = trivialBoundary(p.Cols)
 	for r := 0; r < p.Rows; r++ {
-		tops[r+1] = applyTwoLayerRow(p.eng, tops[r], conjRow(p.row(r)), p.row(r), m, st)
+		tops[r+1] = applyTwoLayerRow(p.eng, tops[r], conjRow(p.eng, p.row(r)), p.row(r), m, st)
 	}
 	return tops
 }
@@ -178,7 +179,8 @@ func (p *PEPS) topEnvironments(m int, st einsumsvd.Strategy) []boundary {
 // is trivial). Physical legs are the up bonds of row k, ordered (bra,
 // ket) like the top environments.
 func (p *PEPS) BottomEnvironments(m int, st einsumsvd.Strategy) []boundary {
-	sp := obs.Start("peps.environments").SetStr("side", "bottom")
+	p, sp := p.scope("peps.environments")
+	sp.SetStr("side", "bottom")
 	defer sp.End()
 	f := p.FlipVertical()
 	flipped := f.topEnvironments(m, st)

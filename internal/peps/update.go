@@ -6,7 +6,6 @@ import (
 	"gokoala/internal/backend"
 	"gokoala/internal/einsumsvd"
 	"gokoala/internal/obs"
-	"gokoala/internal/pool"
 	"gokoala/internal/quantum"
 	"gokoala/internal/tensor"
 )
@@ -72,8 +71,17 @@ func (k denseKernel) qrSplit(t *tensor.Dense, leftAxes int) (*tensor.Dense, *ten
 	return k.eng.QRSplit(t, leftAxes)
 }
 
-func (k denseKernel) factor(spec string, rank int, ops ...*tensor.Dense) (*tensor.Dense, *tensor.Dense, []float64) {
-	return einsumsvd.MustFactor(k.st, k.eng, spec, rank, ops...)
+func (k denseKernel) factor(spec string, rank int, ops ...*tensor.Dense) (*tensor.Dense, *tensor.Dense, []float64, float64) {
+	return einsumsvd.MustFactorTrunc(k.st, k.eng, spec, rank, ops...)
+}
+
+func (k denseKernel) scope(name string) (kernel[*tensor.Dense], *obs.Span) {
+	eng, sp := backend.Scope(k.eng, name)
+	if sp == nil {
+		return nil, nil
+	}
+	k.eng = eng
+	return k, sp
 }
 
 func (denseKernel) gate4(g *tensor.Dense) *tensor.Dense { return quantum.Gate4(g) }
@@ -125,27 +133,24 @@ func (p *PEPS) ApplyCircuit(gates []quantum.TrotterGate, opts UpdateOptions) {
 		}
 		return
 	}
-	sp := obs.Start("peps.circuit").SetInt("gates", int64(len(gates)))
+	// q shares p's sites; the scale deltas come back to be summed on p.
+	q, sp := p.scope("peps.circuit")
+	sp.SetInt("gates", int64(len(gates)))
 	defer sp.End()
 	deltas := make([]float64, len(gates))
+	apply := func(q *PEPS, i int) {
+		o := opts
+		o.Strategy = sts[i]
+		deltas[i] = q.applyGateDelta(gates[i], o)
+	}
 	for _, wave := range p.gateWaves(gates) {
 		if len(wave) == 1 {
-			i := wave[0]
-			o := opts
-			o.Strategy = sts[i]
-			deltas[i] = p.applyGateDelta(gates[i], o)
+			apply(q, wave[0])
 			continue
 		}
-		g := pool.NewGroup("peps.circuit.wave")
-		for _, i := range wave {
-			i := i
-			g.Go(func() {
-				o := opts
-				o.Strategy = sts[i]
-				deltas[i] = p.applyGateDelta(gates[i], o)
-			})
-		}
-		g.Wait()
+		fanOut(q.eng, "peps.circuit.wave", len(wave), func(j int, eng backend.Engine) {
+			apply(q.on(eng), wave[j])
+		})
 	}
 	for _, d := range deltas {
 		p.LogScale += d

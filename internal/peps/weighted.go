@@ -131,7 +131,8 @@ func (su *SimpleUpdate) ApplyGate(g quantum.TrotterGate, rank int, st einsumsvd.
 	u := newUpdater(&p.lattice, denseKernel{p.eng, withSigmaNone(st)}, "weighted-qr-svd", UpdateOptions{Rank: rank})
 	u.step = func(g4 *tensor.Dense, d *bondDir, r, c int) float64 {
 		envA, envB := su.absorbEnv(d, r, c)
-		su.storeWeights(d, r, c, u.bond(g4, d, r, c), envA, envB)
+		s, _ := u.bond(g4, d, r, c)
+		su.storeWeights(d, r, c, s, envA, envB)
 		return 0 // storeWeights folds the scale into LogScale itself
 	}
 	u.gate(g.Sites, g.Gate)

@@ -110,19 +110,20 @@ type Group struct {
 	panicked  any
 }
 
-// NewGroup opens a task group. The name labels the group's obs span
-// (one span per group, covering spawn to Wait) and the task spans hung
-// under it.
-func NewGroup(name string) *Group {
-	return &Group{name: name, sp: obs.Start("pool.group").SetStr("name", name)}
+// NewGroup opens a task group under the caller's span (nil = the trace
+// root). The name labels the group's obs span (one span per group,
+// covering spawn to Wait) and the task spans hung under it.
+func NewGroup(parent *obs.Span, name string) *Group {
+	return &Group{name: name, sp: parent.StartChild("pool.group").SetStr("name", name)}
 }
 
-// Go submits one task. If a worker token is free the task runs on its
+// Go submits one task; the body receives its task span, the handle
+// everything it runs starts its own spans from (nil while untraced). If a worker token is free the task runs on its
 // own goroutine; otherwise it runs inline on the caller before Go
 // returns, which keeps nested groups deadlock-free and guarantees
 // forward progress under full load. Bodies of one group must write to
 // disjoint locations; a panic in any body is re-raised by Wait.
-func (g *Group) Go(body func()) {
+func (g *Group) Go(body func(task *obs.Span)) {
 	submitted := time.Now()
 	if slot := tryToken(); slot >= 0 {
 		obsGroupTasks.Add(1)
@@ -175,10 +176,8 @@ func (p *TaskPanic) Unwrap() error {
 // goroutine, via the explicit StartChild handle — carrying the group
 // name, the task index within the group, the worker slot it ran on
 // (-1 = inline on the submitter), and the queue wait between submission
-// and execution start. Adopt binds the span to the executing goroutine
-// so everything the body starts (engine spans, nested ForMax chunks)
-// nests under its true task.
-func (g *Group) run(body func(), slot int, submitted time.Time) {
+// and execution start. The body is handed that span.
+func (g *Group) run(body func(task *obs.Span), slot int, submitted time.Time) {
 	latticeActive.Add(1)
 	defer latticeActive.Add(-1)
 	defer func() {
@@ -200,10 +199,9 @@ func (g *Group) run(body func(), slot int, submitted time.Time) {
 		if slot >= 0 {
 			sp.SetTrack(slot + 1)
 		}
-		sp.Adopt()
 		defer sp.End()
 	}
-	body()
+	body(sp)
 }
 
 // Wait blocks until every submitted task has finished, then re-raises
@@ -218,14 +216,15 @@ func (g *Group) Wait() {
 	}
 }
 
-// Tasks runs body(0..n-1) as one task group and waits for completion.
-// The convenience form of NewGroup/Go/Wait for index-shaped fan-out
-// (per-site merges, per-column preparation).
-func Tasks(name string, n int, body func(i int)) {
-	g := NewGroup(name)
+// Tasks runs body(0..n-1) as one task group under parent and waits for
+// completion, handing each body its task span. The convenience form of
+// NewGroup/Go/Wait for index-shaped fan-out (per-site merges, per-column
+// preparation).
+func Tasks(parent *obs.Span, name string, n int, body func(i int, task *obs.Span)) {
+	g := NewGroup(parent, name)
 	for i := 0; i < n; i++ {
 		i := i
-		g.Go(func() { body(i) })
+		g.Go(func(task *obs.Span) { body(i, task) })
 	}
 	g.Wait()
 }

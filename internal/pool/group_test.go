@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"gokoala/internal/obs"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,7 @@ func TestTasksRunsAllIndices(t *testing.T) {
 		SetWorkers(workers)
 		const n = 100
 		got := make([]int32, n)
-		Tasks("test", n, func(i int) { atomic.AddInt32(&got[i], 1) })
+		Tasks(nil, "test", n, func(i int, _ *obs.Span) { atomic.AddInt32(&got[i], 1) })
 		for i, c := range got {
 			if c != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times, want 1", workers, i, c)
@@ -32,10 +33,10 @@ func TestGroupSlotWritesAreOrdered(t *testing.T) {
 		SetWorkers(workers)
 		const n = 64
 		vals := make([]float64, n)
-		g := NewGroup("reduce")
+		g := NewGroup(nil, "reduce")
 		for i := 0; i < n; i++ {
 			i := i
-			g.Go(func() { vals[i] = 1.0 / float64(i+1) })
+			g.Go(func(*obs.Span) { vals[i] = 1.0 / float64(i+1) })
 		}
 		g.Wait()
 		sum := 0.0
@@ -60,10 +61,10 @@ func TestTokenAccounting(t *testing.T) {
 	}
 	release := make(chan struct{})
 	started := make(chan struct{}, 2)
-	g := NewGroup("hold")
+	g := NewGroup(nil, "hold")
 	// Two tasks claim both tokens and park.
 	for i := 0; i < 2; i++ {
-		g.Go(func() {
+		g.Go(func(*obs.Span) {
 			started <- struct{}{}
 			<-release
 		})
@@ -76,7 +77,7 @@ func TestTokenAccounting(t *testing.T) {
 	// A third task must fall back inline (no token left) rather than
 	// block; if it were queued behind the parked tasks this would hang.
 	ranInline := false
-	g.Go(func() { ranInline = true })
+	g.Go(func(*obs.Span) { ranInline = true })
 	if !ranInline {
 		t.Fatal("third task did not run inline with all tokens taken")
 	}
@@ -93,8 +94,8 @@ func TestNestedGroupsComplete(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(2)
 	var count atomic.Int64
-	Tasks("outer", 8, func(i int) {
-		Tasks("inner", 8, func(j int) {
+	Tasks(nil, "outer", 8, func(i int, _ *obs.Span) {
+		Tasks(nil, "inner", 8, func(j int, _ *obs.Span) {
 			count.Add(1)
 		})
 	})
@@ -109,10 +110,10 @@ func TestNestedGroupsComplete(t *testing.T) {
 func TestGroupPanicPropagates(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(4)
-	g := NewGroup("panic")
+	g := NewGroup(nil, "panic")
 	for i := 0; i < 4; i++ {
 		i := i
-		g.Go(func() {
+		g.Go(func(*obs.Span) {
 			if i == 2 {
 				panic("boom")
 			}
@@ -149,18 +150,18 @@ func TestGroupPanicInlinePathAlsoWrapped(t *testing.T) {
 	SetWorkers(1)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	holder := NewGroup("holder")
-	holder.Go(func() { close(started); <-release })
+	holder := NewGroup(nil, "holder")
+	holder.Go(func(*obs.Span) { close(started); <-release })
 	<-started
 
-	g := NewGroup("inline-panic")
+	g := NewGroup(nil, "inline-panic")
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				t.Fatalf("Go re-raised the inline panic instead of deferring it to Wait: %v", r)
 			}
 		}()
-		g.Go(func() { panic("inline-boom") })
+		g.Go(func(*obs.Span) { panic("inline-boom") })
 	}()
 	func() {
 		defer func() {
@@ -189,7 +190,7 @@ func TestGroupPanicDoesNotStarveLaterGroups(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		func() {
 			defer func() { recover() }()
-			Tasks("failing", 4, func(i int) {
+			Tasks(nil, "failing", 4, func(i int, _ *obs.Span) {
 				if i%2 == 1 {
 					panic(i)
 				}
@@ -203,7 +204,7 @@ func TestGroupPanicDoesNotStarveLaterGroups(t *testing.T) {
 		}
 		// The pool must still execute fresh work to completion.
 		var count atomic.Int64
-		Tasks("after", 8, func(i int) { count.Add(1) })
+		Tasks(nil, "after", 8, func(i int, _ *obs.Span) { count.Add(1) })
 		if count.Load() != 8 {
 			t.Fatalf("round %d: follow-up group ran %d tasks, want 8", round, count.Load())
 		}
@@ -230,9 +231,9 @@ func TestKernelShareUnderLatticeTasks(t *testing.T) {
 	var entered sync.WaitGroup
 	entered.Add(2)
 	proceed := make(chan struct{})
-	g := NewGroup("share")
-	g.Go(func() { entered.Done(); <-proceed })
-	g.Go(func() { entered.Done(); <-proceed })
+	g := NewGroup(nil, "share")
+	g.Go(func(*obs.Span) { entered.Done(); <-proceed })
+	g.Go(func(*obs.Span) { entered.Done(); <-proceed })
 	entered.Wait()
 	// Both tasks active: kernels see half the pool.
 	if got := kernelShare(); got != 4 {
@@ -248,7 +249,7 @@ func TestKernelShareUnderLatticeTasks(t *testing.T) {
 func TestForMaxInsideGroupStillCoversRange(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(4)
-	Tasks("cover", 4, func(i int) {
+	Tasks(nil, "cover", 4, func(i int, _ *obs.Span) {
 		const n = 1000
 		marks := make([]int32, n)
 		ForMax(0, n, 1, func(lo, hi int) {

@@ -44,7 +44,7 @@ func TestGroupTaskSpansAttribution(t *testing.T) {
 
 	const n = 8
 	before := obs.MetricValueOf("pool.task.count")
-	Tasks("test-group", n, func(i int) {})
+	Tasks(nil, "test-group", n, func(i int, _ *obs.Span) {})
 
 	var group obs.Event
 	var tasks []obs.Event
@@ -99,9 +99,9 @@ func TestGroupTaskSpansAttribution(t *testing.T) {
 	}
 }
 
-// Spans started inside a task body must nest under the task span, not
-// under the coordinator's current span — the attribution bug explicit
-// handles exist to fix.
+// A task body is handed its task span: spans it starts from that handle
+// nest under the task, not under the coordinator's span — the attribution
+// bug explicit handles exist to fix.
 func TestSpansInsideTaskNestUnderTask(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(4)
@@ -113,9 +113,8 @@ func TestSpansInsideTaskNestUnderTask(t *testing.T) {
 	}()
 
 	coord := obs.Start("coordinator")
-	Tasks("g", 4, func(i int) {
-		sp := obs.Start("kernel")
-		sp.End()
+	Tasks(coord, "g", 4, func(i int, task *obs.Span) {
+		task.StartChild("kernel").End()
 	})
 	coord.End()
 
@@ -142,8 +141,9 @@ func TestSpansInsideTaskNestUnderTask(t *testing.T) {
 	}
 }
 
-// ForMax under a current span hangs its chunk spans under a pool.for
-// span; the deterministic counters must not depend on it.
+// A multi-chunk ForMax records a pool.for span at the trace root (a kernel
+// has no handle to its caller) with the worker-side chunks as its
+// children; the deterministic counters must not depend on it.
 func TestForMaxChunkSpans(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(4)
@@ -185,6 +185,9 @@ func TestForMaxChunkSpans(t *testing.T) {
 	}
 	if forSpan.ID == 0 {
 		t.Fatal("no pool.for span for a multi-chunk ForMax")
+	}
+	if forSpan.Parent != 0 {
+		t.Fatalf("pool.for parented under %d; a kernel dispatch is a root record", forSpan.Parent)
 	}
 	for _, e := range sink.events {
 		if e.Name == "pool.chunk" {

@@ -39,9 +39,7 @@ type task struct {
 	lo, hi int
 	wg     *sync.WaitGroup
 	// sp is the submitting call's dispatch span; workers hang their
-	// per-chunk spans under it so a chunk lands beneath its true parent
-	// (the einsum/GEMM region that submitted it), not the trace root.
-	// nil while tracing is off.
+	// per-chunk spans under it. nil while tracing is off.
 	sp *obs.Span
 	// submitted is the dispatch timestamp for queue-wait attribution;
 	// zero while tracing is off.
@@ -174,13 +172,12 @@ func worker(id int, q chan task) {
 		if t.sp != nil {
 			// Per-chunk span under the dispatching call's span: worker
 			// lane, chunk bounds, and how long the chunk sat queued.
-			sp := t.sp.StartChild("pool.chunk").SetTrack(id + 1).
+			sp := t.sp.StartChild("pool.chunk").SetTrack(id+1).
 				SetInt("worker", int64(id)).
 				SetInt("n", int64(t.hi-t.lo))
 			wait := time.Since(t.submitted).Seconds()
 			sp.SetFloat("queue_wait_s", wait)
 			obsPoolQueueWait.Add(wait)
-			sp.Adopt()
 			t.body(t.lo, t.hi)
 			sp.End()
 		} else {
@@ -217,18 +214,14 @@ func ForMax(max, n, grain int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	// Dispatch span: one per multi-chunk ForMax call, parented under the
-	// submitting goroutine's innermost span (the kernel region that asked
-	// for parallelism). Worker-side chunks become its children, so nested
-	// kernel splits land under their true parent in the trace.
-	var sp *obs.Span
+	// Dispatch span: one per multi-chunk ForMax call, with the worker-side
+	// chunks as its children on their worker lanes. Kernels have no span
+	// handle in reach, so it is a record at the trace root, placed by its
+	// timestamps and lanes, not a child of the region that called it.
 	var submitted time.Time
-	if obs.Enabled() {
-		if cur := obs.Current(); cur != nil {
-			sp = cur.StartChild("pool.for").
-				SetInt("n", int64(n)).SetInt("chunks", int64(chunks))
-			submitted = time.Now()
-		}
+	sp := obs.Start("pool.for").SetInt("n", int64(n)).SetInt("chunks", int64(chunks))
+	if sp != nil {
+		submitted = time.Now()
 	}
 	q := ensure()
 	var wg sync.WaitGroup

@@ -11,6 +11,7 @@ package rqc
 import (
 	"math/rand"
 
+	"gokoala/internal/obs"
 	"gokoala/internal/peps"
 	"gokoala/internal/quantum"
 	"gokoala/internal/telemetry"
@@ -121,14 +122,14 @@ func Apply(state *peps.PEPS, c Circuit, opts peps.UpdateOptions, stop func() boo
 			return i
 		}
 		state.ApplyGate(g, opts)
-		if telemetry.Active() {
+		if obs.Enabled() {
 			fields := map[string]float64{
 				"gate":        float64(i + 1),
 				"gates_total": float64(len(c.Gates)),
 				"max_bond":    float64(state.MaxBond()),
 			}
-			telemetry.Observe("rqc.gate", float64(i+1))
-			telemetry.Observe("rqc.max_bond", fields["max_bond"])
+			obs.Observe("rqc.gate", float64(i+1))
+			obs.Observe("rqc.max_bond", fields["max_bond"])
 			telemetry.Publish("rqc.gate", i+1, fields)
 		}
 	}

@@ -16,8 +16,6 @@ import (
 	"strings"
 	"time"
 
-	"gokoala/internal/einsum"
-	"gokoala/internal/health"
 	"gokoala/internal/obs"
 )
 
@@ -50,8 +48,8 @@ func escapeLabel(v string) string {
 	return v
 }
 
-func labelString(labels []Label, extra ...Label) string {
-	all := append(append([]Label(nil), labels...), extra...)
+func labelString(labels []obs.Label, extra ...obs.Label) string {
+	all := append(append([]obs.Label(nil), labels...), extra...)
 	if len(all) == 0 {
 		return ""
 	}
@@ -74,47 +72,48 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// typeLine emits the # TYPE header once per metric family.
-func typeLine(w io.Writer, seen map[string]bool, name, kind string) {
-	if !seen[name] {
-		fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
-		seen[name] = true
-	}
-}
-
-// WriteMetrics renders the full exposition: run info, process stats,
-// every telemetry series (last value as a gauge plus _sum/_count
-// aggregates) and histogram (cumulative le buckets), the obs
-// counter/gauge registry, the always-on health counters, and the einsum
-// plan-cache hit ratio.
+// WriteMetrics renders the full exposition: run info, process stats, and
+// one snapshot of the obs registry — every series (last value as a gauge
+// plus _sum/_count aggregates), histogram (cumulative le buckets) and
+// registered counter, zero or not, so the health.* families are present
+// before anything went wrong — then the ratios derived from it. Every
+// metric lives in that one registry under one name, so each family is
+// written exactly once.
 func WriteMetrics(w io.Writer) {
-	seen := map[string]bool{}
-
+	gauge := func(name string, v float64) {
+		fmt.Fprintf(w, "# TYPE %s%s gauge\n%s%s %s\n", MetricPrefix, name, MetricPrefix, name, formatValue(v))
+	}
 	component, labels, start := RunInfo()
 	if component != "" {
-		ls := []Label{{"component", component}}
+		ls := []obs.Label{{Key: "component", Value: component}}
 		keys := make([]string, 0, len(labels))
 		for k := range labels {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			ls = append(ls, Label{k, labels[k]})
+			ls = append(ls, obs.Label{Key: k, Value: labels[k]})
 		}
-		typeLine(w, seen, MetricPrefix+"run_info", "gauge")
-		fmt.Fprintf(w, "%srun_info%s 1\n", MetricPrefix, labelString(ls))
+		fmt.Fprintf(w, "# TYPE %srun_info gauge\n%srun_info%s 1\n", MetricPrefix, MetricPrefix, labelString(ls))
 	}
 	if !start.IsZero() {
-		typeLine(w, seen, MetricPrefix+"process_uptime_seconds", "gauge")
-		fmt.Fprintf(w, "%sprocess_uptime_seconds %s\n", MetricPrefix, formatValue(time.Since(start).Seconds()))
+		gauge("process_uptime_seconds", time.Since(start).Seconds())
 	}
-	typeLine(w, seen, MetricPrefix+"go_goroutines", "gauge")
-	fmt.Fprintf(w, "%sgo_goroutines %d\n", MetricPrefix, runtime.NumGoroutine())
+	gauge("go_goroutines", float64(runtime.NumGoroutine()))
 
-	series, hists := Snapshot()
+	// Snapshot lists are sorted by name, so the samples of one family are
+	// adjacent and its TYPE line goes before the first of them.
+	family := ""
+	typeLine := func(name, kind string) {
+		if name != family {
+			fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
+			family = name
+		}
+	}
+	counters, series, hists := obs.Snapshot()
 	for _, s := range series {
 		name := PromName(s.Name)
-		typeLine(w, seen, name, "gauge")
+		typeLine(name, "gauge")
 		ls := labelString(s.Labels)
 		fmt.Fprintf(w, "%s%s %s\n", name, ls, formatValue(s.Last))
 		fmt.Fprintf(w, "%s_sum%s %s\n", name, ls, formatValue(s.Sum))
@@ -122,102 +121,40 @@ func WriteMetrics(w io.Writer) {
 	}
 	for _, h := range hists {
 		name := PromName(h.Name)
-		typeLine(w, seen, name, "histogram")
+		typeLine(name, "histogram")
 		var cum int64
 		for i, b := range h.Bounds {
 			cum += h.Buckets[i]
-			fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(h.Labels, Label{"le", formatValue(b)}), cum)
+			fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(h.Labels, obs.Label{Key: "le", Value: formatValue(b)}), cum)
 		}
 		cum += h.Buckets[len(h.Bounds)]
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(h.Labels, Label{"le", "+Inf"}), cum)
+		fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(h.Labels, obs.Label{Key: "le", Value: "+Inf"}), cum)
 		fmt.Fprintf(w, "%s_sum%s %s\n", name, labelString(h.Labels), formatValue(h.Sum))
 		fmt.Fprintf(w, "%s_count%s %d\n", name, labelString(h.Labels), h.Count)
 	}
-
-	// The obs registry: tracing counters (flops, plan-cache hits, comm
-	// bytes, pool tasks) and gauges, live whenever obs collection is on —
-	// cliutil enables it with zero sinks for any -listen run. Some
-	// publishers mirror a value into both registries under one name
-	// (svd.trunc_error is a telemetry series and an obs gauge); the
-	// telemetry family above already carries it with more structure, so
-	// an obs name that collides with an emitted family is skipped rather
-	// than duplicated.
-	var hits, misses float64
-	for _, m := range obs.Metrics() {
-		switch m.Name {
-		case "einsum.plan.hits":
-			hits = m.Value
-		case "einsum.plan.misses":
-			misses = m.Value
-		}
-		name := PromName(m.Name)
-		if seen[name] {
-			continue
-		}
+	byName := map[string]float64{}
+	for _, m := range counters {
+		byName[m.Name] = m.Value
 		kind := "counter"
 		if m.Kind == "gauge" {
 			kind = "gauge"
 		}
-		typeLine(w, seen, name, kind)
-		fmt.Fprintf(w, "%s %s\n", name, formatValue(m.Value))
-	}
-	ratio := 0.0
-	if hits+misses > 0 {
-		ratio = hits / (hits + misses)
-	}
-	typeLine(w, seen, MetricPrefix+"einsum_plan_hit_ratio", "gauge")
-	fmt.Fprintf(w, "%seinsum_plan_hit_ratio %s\n", MetricPrefix, formatValue(ratio))
-
-	// Block-sparse savings, derived from einsum's always-on atomics: the
-	// fraction of dense-equivalent GEMM flops the symmetric contractions
-	// avoided (0 when no symmetric contraction ran), plus the raw flop
-	// tallies it is computed from.
-	_, symBlocks, symFlops, symDense := einsum.SymStats()
-	saved := 0.0
-	if symDense > 0 {
-		saved = float64(symDense-symFlops) / float64(symDense)
-	}
-	typeLine(w, seen, MetricPrefix+"einsum_flops_saved_ratio", "gauge")
-	fmt.Fprintf(w, "%seinsum_flops_saved_ratio %s\n", MetricPrefix, formatValue(saved))
-	for _, c := range []struct {
-		name string
-		v    int64
-	}{
-		{"einsum_sym_block_gemms", symBlocks},
-		{"einsum_sym_flops_total", symFlops},
-		{"einsum_sym_dense_equiv_flops_total", symDense},
-	} {
-		name := MetricPrefix + c.name
-		if seen[name] {
-			continue
-		}
-		typeLine(w, seen, name, "counter")
-		fmt.Fprintf(w, "%s %d\n", name, c.v)
+		typeLine(PromName(m.Name), kind)
+		fmt.Fprintf(w, "%s %s\n", PromName(m.Name), formatValue(m.Value))
 	}
 
-	// Health counters are package-local atomics, alive under every
-	// policy and independent of obs collection.
-	for _, c := range []struct {
-		name string
-		v    int64
-	}{
-		{"health_nan_detected", health.NaNDetected()},
-		{"health_svd_fallbacks", health.SVDFallbacks()},
-		{"health_gram_fallbacks", health.GramFallbacks()},
-		{"health_nonconverged", health.Nonconverged()},
-		{"health_checkpoint_failures", health.CheckpointFailures()},
-		{"health_sym_fallbacks", health.SymFallbacks()},
-	} {
-		// The obs counter dump above may already have exported the same
-		// counter (same underlying atomic) when collection is on; a second
-		// sample would fail the strict parser.
-		name := MetricPrefix + c.name
-		if seen[name] {
-			continue
+	ratio := func(num, den float64) float64 {
+		if den == 0 {
+			return 0
 		}
-		typeLine(w, seen, name, "counter")
-		fmt.Fprintf(w, "%s %d\n", name, c.v)
+		return num / den
 	}
+	hits, misses := byName["einsum.plan.hits"], byName["einsum.plan.misses"]
+	gauge("einsum_plan_hit_ratio", ratio(hits, hits+misses))
+	// Block-sparse savings: the fraction of dense-equivalent GEMM flops the
+	// symmetric contractions avoided (0 when none ran).
+	symFlops, symDense := byName["einsum.sym.flops"], byName["einsum.sym.dense_equiv_flops"]
+	gauge("einsum_flops_saved_ratio", ratio(symDense-symFlops, symDense))
 }
 
 // --- parser / validator ---

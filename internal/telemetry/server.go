@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"gokoala/internal/health"
+	"gokoala/internal/obs"
 )
 
 // HealthStatus is the /healthz response body.
@@ -201,16 +202,19 @@ type Server struct {
 	done chan struct{}
 }
 
-// Serve starts the telemetry plane on addr (":9090", "127.0.0.1:0", ...)
-// and activates the recorder. The registry is reset so the scrape
-// reflects this run only.
+// Serve starts the telemetry plane on addr (":9090", "127.0.0.1:0", ...).
+// What it serves is the obs registry, so it turns collection on (registry
+// only: no sink, no spans) unless -trace/-metrics already did; the run
+// then ends it with obs.Disable as usual.
 func Serve(addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
 	Reset()
-	SetActive(true)
+	if !obs.Enabled() {
+		obs.Enable()
+	}
 	s := &Server{
 		ln:   ln,
 		srv:  &http.Server{Handler: Handler()},
@@ -236,13 +240,12 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close deactivates the recorder and shuts the listener down, waiting
-// briefly for in-flight scrapes. Safe on nil.
+// Close shuts the listener down, waiting briefly for in-flight scrapes.
+// Safe on nil.
 func (s *Server) Close() error {
 	if s == nil {
 		return nil
 	}
-	SetActive(false)
 	err := s.srv.Close()
 	select {
 	case <-s.done:

@@ -1,17 +1,14 @@
-// Package telemetry is the live, in-process observability plane: where
-// internal/obs records traces for post-hoc analysis, telemetry serves
-// the *running* job — physics observables (step energy, truncation
-// error, bond dimensions, solver sweeps) recorded as labeled timeseries,
-// plus structured step events — over an embeddable stdlib-only HTTP
-// surface (/metrics, /healthz, /events, /debug/pprof; see server.go).
-//
-// The recorder is built for hot paths: while no listener is attached
-// every entry point is a single atomic load and an immediate return, so
-// library code (linalg truncations, peps bond updates, ite steps) can
-// publish unconditionally. When active, series updates are lock-free —
-// a sync.Map lookup plus atomic adds — and scrapes snapshot the atomics
-// without stopping writers. Event publication takes a short mutex to
-// give every SSE subscriber the same globally ordered sequence.
+// Package telemetry is the live HTTP surface over the one metric registry
+// (internal/obs): where obs records a run for post-hoc analysis, telemetry
+// serves the *running* job — the registry as Prometheus text (/metrics,
+// prom.go), the numerical-health rollup with rank liveness (/healthz),
+// structured step events as a Server-Sent-Events stream (/events) and the
+// runtime profiles (/debug/pprof; see server.go) — over an embeddable
+// stdlib-only listener. It holds no metric of its own: library code
+// (linalg truncations, peps bond updates, ite steps) publishes into obs,
+// gated by the one obs.Enable switch, and this package renders what it
+// finds there. Event publication takes a short mutex to give every SSE
+// subscriber the same globally ordered sequence.
 //
 // Series naming: recorders pass bare dotted names ("ite.energy_per_site");
 // the Prometheus renderer (prom.go) prefixes "koala_" and rewrites
@@ -19,184 +16,11 @@
 package telemetry
 
 import (
-	"math"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gokoala/internal/obs"
 )
-
-// active is the global fast-path switch; it is set while a Server is
-// listening (or a test calls SetActive).
-var active atomic.Bool
-
-// Active reports whether a live telemetry consumer is attached. Hot
-// paths gate any per-record allocation (label formatting, map building)
-// behind it.
-func Active() bool { return active.Load() }
-
-// SetActive toggles the recorder without a server; tests use it, and
-// Serve/Close call it. Activation does not clear prior series — call
-// Reset for a fresh registry.
-func SetActive(on bool) { active.Store(on) }
-
-// Label is one key/value dimension on a series.
-type Label struct {
-	Key, Value string
-}
-
-// Series is a labeled timeseries cell: last value, observation count,
-// and running sum, all updated with atomics so concurrent recorders
-// never contend on a lock.
-type Series struct {
-	name     string
-	labels   []Label
-	count    atomic.Int64
-	sumBits  atomic.Uint64
-	lastBits atomic.Uint64
-	lastSet  atomic.Bool
-}
-
-// Observe records one value: the series' last value becomes v, and v is
-// folded into the count/sum aggregates.
-func (s *Series) Observe(v float64) {
-	s.lastBits.Store(math.Float64bits(v))
-	s.lastSet.Store(true)
-	s.count.Add(1)
-	atomicAddFloat(&s.sumBits, v)
-}
-
-// Last returns the most recent value and whether one was ever observed.
-func (s *Series) Last() (float64, bool) {
-	return math.Float64frombits(s.lastBits.Load()), s.lastSet.Load()
-}
-
-// Count returns how many observations the series has received.
-func (s *Series) Count() int64 { return s.count.Load() }
-
-// Sum returns the running sum of observations.
-func (s *Series) Sum() float64 { return math.Float64frombits(s.sumBits.Load()) }
-
-func atomicAddFloat(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Hist is a fixed-bucket histogram (bond dimensions, truncation errors,
-// solver sweeps). Buckets hold per-bucket counts; the Prometheus
-// renderer cumulates them into the le convention at scrape time.
-type Hist struct {
-	name    string
-	labels  []Label
-	bounds  []float64 // upper bounds, ascending; implicit +Inf last
-	buckets []atomic.Int64
-	count   atomic.Int64
-	sumBits atomic.Uint64
-}
-
-// Observe records v into the first bucket whose upper bound contains it.
-func (h *Hist) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	atomicAddFloat(&h.sumBits, v)
-}
-
-// Count returns the histogram's total observation count.
-func (h *Hist) Count() int64 { return h.count.Load() }
-
-// Pow2Bounds buckets small positive integers (bond dimensions, sweep
-// counts) at powers of two.
-var Pow2Bounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
-
-// LogBounds buckets relative errors (truncation discarded weight) at
-// decades from 1e-16 to 1.
-var LogBounds = []float64{1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1}
-
-// registry holds every live series and histogram, keyed by rendered
-// name+labels. sync.Map keeps lookups lock-free on the hot path.
-var registry struct {
-	series sync.Map // string -> *Series
-	hists  sync.Map // string -> *Hist
-}
-
-// seriesKey renders the registry key: name plus labels in given order.
-func seriesKey(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	n := len(name) + 2
-	for _, l := range labels {
-		n += len(l.Key) + len(l.Value) + 2
-	}
-	b := make([]byte, 0, n)
-	b = append(b, name...)
-	b = append(b, '{')
-	for i, l := range labels {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, l.Key...)
-		b = append(b, '=')
-		b = append(b, l.Value...)
-	}
-	b = append(b, '}')
-	return string(b)
-}
-
-// GetSeries returns (creating on first use) the series for name+labels.
-func GetSeries(name string, labels ...Label) *Series {
-	key := seriesKey(name, labels)
-	if v, ok := registry.series.Load(key); ok {
-		return v.(*Series)
-	}
-	s := &Series{name: name, labels: append([]Label(nil), labels...)}
-	v, _ := registry.series.LoadOrStore(key, s)
-	return v.(*Series)
-}
-
-// GetHist returns (creating on first use) the histogram for name+labels
-// with the given bounds. Bounds are fixed at creation; later calls with
-// different bounds reuse the original.
-func GetHist(name string, bounds []float64, labels ...Label) *Hist {
-	key := seriesKey(name, labels)
-	if v, ok := registry.hists.Load(key); ok {
-		return v.(*Hist)
-	}
-	h := &Hist{
-		name:    name,
-		labels:  append([]Label(nil), labels...),
-		bounds:  bounds,
-		buckets: make([]atomic.Int64, len(bounds)+1),
-	}
-	v, _ := registry.hists.LoadOrStore(key, h)
-	return v.(*Hist)
-}
-
-// Observe records v into the named series when a listener is attached;
-// a single atomic load otherwise.
-func Observe(name string, v float64, labels ...Label) {
-	if !active.Load() {
-		return
-	}
-	GetSeries(name, labels...).Observe(v)
-}
-
-// ObserveHist records v into the named histogram when a listener is
-// attached.
-func ObserveHist(name string, bounds []float64, v float64, labels ...Label) {
-	if !active.Load() {
-		return
-	}
-	GetHist(name, bounds, labels...).Observe(v)
-}
 
 // --- run info ---
 
@@ -253,12 +77,12 @@ var events struct {
 }
 
 // Publish records a structured event and fans it out to subscribers.
-// No-op (one atomic load) while no listener is attached. Slow
+// No-op (one atomic load) while collection is disabled. Slow
 // subscribers never block the recorder: events that do not fit a
 // subscriber's buffer are dropped for that subscriber only, counted in
 // the events.dropped series.
 func Publish(kind string, step int, fields map[string]float64) {
-	if !active.Load() {
+	if !obs.Enabled() {
 		return
 	}
 	events.mu.Lock()
@@ -284,7 +108,7 @@ func Publish(kind string, step int, fields map[string]float64) {
 	}
 	events.mu.Unlock()
 	if dropped > 0 {
-		GetSeries("events.dropped").Observe(float64(dropped))
+		obs.Observe("events.dropped", float64(dropped))
 	}
 }
 
@@ -313,129 +137,11 @@ func Subscribe(buf int) (ch <-chan Event, replay []Event, cancel func()) {
 	}
 }
 
-// --- pending truncation handoff (linalg -> peps, same goroutine) ---
-
-// The truncated SVD knows the discarded spectral weight but not which
-// lattice bond it served; the peps update knows the bond but not the
-// full spectrum. Truncation runs synchronously on the update's
-// goroutine, so a goroutine-keyed slot hands the error across layers
-// without widening the einsumsvd.Strategy interface.
-var pendingTrunc sync.Map // goroutine id -> float64
-
-// SetPendingTrunc stashes the current goroutine's latest truncation
-// error. Called by linalg.TruncatedSVD while active.
-func SetPendingTrunc(v float64) {
-	if !active.Load() {
-		return
-	}
-	pendingTrunc.Store(obs.GoID(), v)
-}
-
-// TakePendingTrunc returns and clears the current goroutine's stashed
-// truncation error.
-func TakePendingTrunc() (float64, bool) {
-	if !active.Load() {
-		return 0, false
-	}
-	v, ok := pendingTrunc.LoadAndDelete(obs.GoID())
-	if !ok {
-		return 0, false
-	}
-	return v.(float64), true
-}
-
-// ClearPendingTrunc drops any stashed truncation error on the current
-// goroutine, so a bond update never adopts an error left over from an
-// unrelated earlier factorization (e.g. a boundary-MPS compression).
-func ClearPendingTrunc() {
-	if !active.Load() {
-		return
-	}
-	pendingTrunc.Delete(obs.GoID())
-}
-
-// SeriesSnapshot is one series' scrape-time state.
-type SeriesSnapshot struct {
-	Name   string
-	Labels []Label
-	Last   float64
-	Sum    float64
-	Count  int64
-}
-
-// HistSnapshot is one histogram's scrape-time state; Buckets are
-// per-bucket (non-cumulative) counts aligned with Bounds plus a final
-// +Inf bucket.
-type HistSnapshot struct {
-	Name    string
-	Labels  []Label
-	Bounds  []float64
-	Buckets []int64
-	Sum     float64
-	Count   int64
-}
-
-// Snapshot captures every series and histogram, sorted by name+labels,
-// without stopping writers (values are atomically read; a scrape racing
-// an Observe sees either side of it).
-func Snapshot() ([]SeriesSnapshot, []HistSnapshot) {
-	var ss []SeriesSnapshot
-	registry.series.Range(func(k, v interface{}) bool {
-		s := v.(*Series)
-		last, ok := s.Last()
-		if !ok {
-			return true
-		}
-		ss = append(ss, SeriesSnapshot{
-			Name: s.name, Labels: s.labels,
-			Last: last, Sum: s.Sum(), Count: s.Count(),
-		})
-		return true
-	})
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].Name != ss[j].Name {
-			return ss[i].Name < ss[j].Name
-		}
-		return seriesKey("", ss[i].Labels) < seriesKey("", ss[j].Labels)
-	})
-	var hs []HistSnapshot
-	registry.hists.Range(func(k, v interface{}) bool {
-		h := v.(*Hist)
-		buckets := make([]int64, len(h.buckets))
-		for i := range h.buckets {
-			buckets[i] = h.buckets[i].Load()
-		}
-		hs = append(hs, HistSnapshot{
-			Name: h.name, Labels: h.labels, Bounds: h.bounds,
-			Buckets: buckets, Sum: math.Float64frombits(h.sumBits.Load()), Count: h.count.Load(),
-		})
-		return true
-	})
-	sort.Slice(hs, func(i, j int) bool {
-		if hs[i].Name != hs[j].Name {
-			return hs[i].Name < hs[j].Name
-		}
-		return seriesKey("", hs[i].Labels) < seriesKey("", hs[j].Labels)
-	})
-	return ss, hs
-}
-
-// Reset clears every series, histogram, queued event, and the run info.
-// Serve calls it so each run's scrape starts clean; tests use it for
-// isolation. Active subscribers are cancelled.
+// Reset clears queued events, the run info and the rank registry, and
+// cancels active subscribers. Serve calls it so each run's stream starts
+// clean; tests use it for isolation. The metric registry is obs's to
+// reset (obs.Enable, obs.ResetCounters).
 func Reset() {
-	registry.series.Range(func(k, _ interface{}) bool {
-		registry.series.Delete(k)
-		return true
-	})
-	registry.hists.Range(func(k, _ interface{}) bool {
-		registry.hists.Delete(k)
-		return true
-	})
-	pendingTrunc.Range(func(k, _ interface{}) bool {
-		pendingTrunc.Delete(k)
-		return true
-	})
 	events.mu.Lock()
 	events.seq = 0
 	events.ring = nil

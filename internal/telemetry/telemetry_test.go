@@ -22,11 +22,13 @@ import (
 func resetAll(t *testing.T) {
 	t.Helper()
 	Reset()
-	SetActive(false)
+	obs.Disable()
+	obs.ResetCounters()
 	health.ResetCounters()
 	t.Cleanup(func() {
 		Reset()
-		SetActive(false)
+		obs.Disable()
+		obs.ResetCounters()
 		health.ResetCounters()
 		health.SetPolicy(health.PolicyOff)
 	})
@@ -34,16 +36,16 @@ func resetAll(t *testing.T) {
 
 func TestSeriesObserveAndSnapshot(t *testing.T) {
 	resetAll(t)
-	SetActive(true)
-	Observe("ite.energy_per_site", -1.5)
-	Observe("ite.energy_per_site", -2.0)
-	Observe("peps.bond_dim", 4, Label{"dir", "h"}, Label{"row", "0"}, Label{"col", "1"})
-	ObserveHist("svd.trunc_error_hist", LogBounds, 1e-9)
+	obs.Enable()
+	obs.Observe("ite.energy_per_site", -1.5)
+	obs.Observe("ite.energy_per_site", -2.0)
+	obs.Observe("peps.bond_dim", 4, obs.Label{Key: "dir", Value: "h"}, obs.Label{Key: "row", Value: "0"}, obs.Label{Key: "col", Value: "1"})
+	obs.ObserveHist("svd.trunc_error_hist", obs.LogBounds, 1e-9)
 
-	series, hists := Snapshot()
-	byKey := map[string]SeriesSnapshot{}
+	_, series, hists := obs.Snapshot()
+	byKey := map[string]obs.SeriesSnapshot{}
 	for _, s := range series {
-		byKey[seriesKey(s.Name, s.Labels)] = s
+		byKey[s.Name+labelString(s.Labels)] = s
 	}
 	e, ok := byKey["ite.energy_per_site"]
 	if !ok {
@@ -52,7 +54,7 @@ func TestSeriesObserveAndSnapshot(t *testing.T) {
 	if e.Last != -2.0 || e.Count != 2 || e.Sum != -3.5 {
 		t.Fatalf("series aggregate wrong: %+v", e)
 	}
-	if _, ok := byKey[seriesKey("peps.bond_dim", []Label{{"dir", "h"}, {"row", "0"}, {"col", "1"}})]; !ok {
+	if _, ok := byKey[`peps.bond_dim{dir="h",row="0",col="1"}`]; !ok {
 		t.Fatalf("labeled series missing: %v", byKey)
 	}
 	if len(hists) != 1 || hists[0].Count != 1 {
@@ -62,9 +64,9 @@ func TestSeriesObserveAndSnapshot(t *testing.T) {
 
 func TestObserveInactiveIsNoop(t *testing.T) {
 	resetAll(t)
-	Observe("ite.step", 1)
-	ObserveHist("peps.bond_dim_hist", Pow2Bounds, 4)
-	series, hists := Snapshot()
+	obs.Observe("ite.step", 1)
+	obs.ObserveHist("peps.bond_dim_hist", obs.Pow2Bounds, 4)
+	_, series, hists := obs.Snapshot()
 	if len(series) != 0 || len(hists) != 0 {
 		t.Fatalf("inactive observes must not register: %v %v", series, hists)
 	}
@@ -75,14 +77,14 @@ func TestObserveInactiveIsNoop(t *testing.T) {
 // parser to accept every line and find the families watch depends on.
 func TestMetricsExpositionRoundTrip(t *testing.T) {
 	resetAll(t)
-	SetActive(true)
+	obs.Enable()
 	SetRunInfo("ite", map[string]string{"model": "tfi", "rows": "2"})
-	Observe("ite.energy_per_site", -2.125)
-	Observe("ite.step", 3)
-	Observe("svd.trunc_error", 2.5e-10)
-	Observe("peps.bond_trunc_error", 1e-9, Label{"dir", "h"}, Label{"row", "0"}, Label{"col", "0"})
-	ObserveHist("peps.bond_dim_hist", Pow2Bounds, 4)
-	ObserveHist("solver.sweeps", Pow2Bounds, 7, Label{"solver", "jacobi_svd"})
+	obs.Observe("ite.energy_per_site", -2.125)
+	obs.Observe("ite.step", 3)
+	obs.Observe("svd.trunc_error", 2.5e-10)
+	obs.Observe("peps.bond_trunc_error", 1e-9, obs.Label{Key: "dir", Value: "h"}, obs.Label{Key: "row", Value: "0"}, obs.Label{Key: "col", Value: "0"})
+	obs.ObserveHist("peps.bond_dim_hist", obs.Pow2Bounds, 4)
+	obs.ObserveHist("solver.sweeps", obs.Pow2Bounds, 7, obs.Label{Key: "solver", Value: "jacobi_svd"})
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -188,7 +190,7 @@ func TestHealthzTransitions(t *testing.T) {
 // publisher, its own events in publish order.
 func TestSSEOrdering(t *testing.T) {
 	resetAll(t)
-	SetActive(true)
+	obs.Enable()
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 
@@ -252,7 +254,7 @@ func TestSSEOrdering(t *testing.T) {
 
 func TestSSEReplay(t *testing.T) {
 	resetAll(t)
-	SetActive(true)
+	obs.Enable()
 	for i := 0; i < 5; i++ {
 		Publish("warm.up", i, nil)
 	}
@@ -268,28 +270,42 @@ func TestSSEReplay(t *testing.T) {
 	}
 }
 
+// A truncation error is the return value of the factorization that
+// produced it, published by the caller under the bond it belongs to: no
+// slot keyed on the goroutine stands between the two any more. What is
+// left to hold here is the registry side of that: goroutines publishing
+// the errors of different bonds at the same time each land in their own
+// labeled series, and one scrape carries every bond with its own value.
 func TestPendingTruncSameGoroutineOnly(t *testing.T) {
 	resetAll(t)
-	SetActive(true)
-	SetPendingTrunc(0.25)
-	done := make(chan bool)
-	go func() {
-		_, ok := TakePendingTrunc()
-		done <- ok
-	}()
-	if <-done {
-		t.Fatal("pending trunc leaked across goroutines")
+	obs.Enable()
+	const bonds = 8
+	var wg sync.WaitGroup
+	for b := 0; b < bonds; b++ {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				obs.Observe("peps.bond_trunc_error", float64(b)/16,
+					obs.Label{Key: "dir", Value: "h"}, obs.Label{Key: "row", Value: "0"}, obs.Label{Key: "col", Value: fmt.Sprint(b)})
+			}
+		}(b)
 	}
-	if v, ok := TakePendingTrunc(); !ok || v != 0.25 {
-		t.Fatalf("same-goroutine take = %v,%v want 0.25,true", v, ok)
+	wg.Wait()
+	var buf strings.Builder
+	WriteMetrics(&buf)
+	samples, err := ParseMetrics(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := TakePendingTrunc(); ok {
-		t.Fatal("second take must miss")
-	}
-	SetPendingTrunc(0.5)
-	ClearPendingTrunc()
-	if _, ok := TakePendingTrunc(); ok {
-		t.Fatal("take after clear must miss")
+	for b := 0; b < bonds; b++ {
+		key := fmt.Sprintf(`{dir="h",row="0",col="%d"}`, b)
+		if v, ok := samples["koala_peps_bond_trunc_error"+key]; !ok || v != float64(b)/16 {
+			t.Fatalf("bond %d reads %v (present %v), want its own error %v", b, v, ok, float64(b)/16)
+		}
+		if n := samples["koala_peps_bond_trunc_error_count"+key]; n != 200 {
+			t.Fatalf("bond %d counted %v observations, want 200", b, n)
+		}
 	}
 }
 
@@ -299,10 +315,13 @@ func TestServerServeClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Active() {
-		t.Fatal("Serve must activate recording")
+	if !obs.Enabled() {
+		t.Fatal("Serve must turn the registry on")
 	}
-	Observe("ite.step", 1)
+	if obs.Start("probe") != nil {
+		t.Fatal("a listener alone must not make the run build spans")
+	}
+	obs.Observe("ite.step", 1)
 	for _, path := range []string{"/metrics", "/healthz", "/", "/debug/pprof/"} {
 		resp, err := http.Get("http://" + srv.Addr() + path)
 		if err != nil {
@@ -316,8 +335,8 @@ func TestServerServeClose(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if Active() {
-		t.Fatal("Close must deactivate recording")
+	if _, err := http.Get("http://" + srv.Addr() + "/healthz"); err == nil {
+		t.Fatal("listener still answers after Close")
 	}
 	var nilSrv *Server
 	if err := nilSrv.Close(); err != nil {
@@ -327,7 +346,7 @@ func TestServerServeClose(t *testing.T) {
 
 func TestEventRingDropsOldest(t *testing.T) {
 	resetAll(t)
-	SetActive(true)
+	obs.Enable()
 	for i := 0; i < ringSize+10; i++ {
 		Publish("fill", i, nil)
 	}
@@ -358,26 +377,26 @@ func TestPromName(t *testing.T) {
 // must stay a single atomic load with zero allocations.
 func BenchmarkInactiveObserve(b *testing.B) {
 	Reset()
-	SetActive(false)
+	obs.Disable()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Observe("svd.trunc_error", 1e-9)
+		obs.Observe("svd.trunc_error", 1e-9)
 	}
 }
 
 func BenchmarkActiveObserve(b *testing.B) {
 	Reset()
-	SetActive(true)
-	defer SetActive(false)
+	obs.Enable()
+	defer obs.Disable()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Observe("svd.trunc_error", 1e-9)
+		obs.Observe("svd.trunc_error", 1e-9)
 	}
 }
 
 func TestWriteMetricsValidUnderConcurrentLoad(t *testing.T) {
 	resetAll(t)
-	SetActive(true)
+	obs.Enable()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -390,8 +409,8 @@ func TestWriteMetricsValidUnderConcurrentLoad(t *testing.T) {
 					return
 				default:
 				}
-				Observe("load.series", float64(i), Label{"g", fmt.Sprint(g)})
-				ObserveHist("load.hist", Pow2Bounds, float64(i%64))
+				obs.Observe("load.series", float64(i), obs.Label{Key: "g", Value: fmt.Sprint(g)})
+				obs.ObserveHist("load.hist", obs.Pow2Bounds, float64(i%64))
 			}
 		}(g)
 	}
@@ -408,16 +427,13 @@ func TestWriteMetricsValidUnderConcurrentLoad(t *testing.T) {
 	wg.Wait()
 }
 
-// With obs collection on, the obs counter dump exports the health
-// counters (same underlying atomics) before the static health block;
-// the block must skip already-emitted names or the strict parser sees
-// duplicate samples.
+// The health counters reach the exposition through the one registry
+// dump: exactly one sample each, whether or not they have fired.
 func TestExpositionNoDuplicateHealthSamples(t *testing.T) {
 	resetAll(t)
 	obs.Enable()
 	t.Cleanup(func() { obs.Disable() })
 	health.CountGramFallback()
-	SetActive(true)
 
 	var buf strings.Builder
 	WriteMetrics(&buf)

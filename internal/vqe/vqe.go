@@ -13,6 +13,7 @@ import (
 	"gokoala/internal/checkpoint"
 	"gokoala/internal/einsumsvd"
 	"gokoala/internal/health"
+	"gokoala/internal/obs"
 	"gokoala/internal/optimize"
 	"gokoala/internal/peps"
 	"gokoala/internal/quantum"
@@ -165,7 +166,7 @@ func EnergyStateVector(a Ansatz, obs *quantum.Observable, theta []float64) float
 // Run minimizes the ansatz energy with restarted Nelder-Mead. Rank 0
 // uses the state-vector objective; otherwise PEPS at the given bond
 // dimension.
-func Run(a Ansatz, obs *quantum.Observable, opts Options) Result {
+func Run(a Ansatz, h *quantum.Observable, opts Options) Result {
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 150
 	}
@@ -190,12 +191,12 @@ func Run(a Ansatz, obs *quantum.Observable, opts Options) Result {
 	objective := func(theta []float64) float64 {
 		var e float64
 		if opts.Rank <= 0 {
-			e = EnergyStateVector(a, obs, theta)
+			e = EnergyStateVector(a, h, theta)
 		} else {
-			e = EnergyPEPS(a, obs, theta, opts)
+			e = EnergyPEPS(a, h, theta, opts)
 			health.CheckFloat("vqe.energy", e)
 		}
-		telemetry.Observe("vqe.eval_energy_per_site", e)
+		obs.Observe("vqe.eval_energy_per_site", e)
 		return e
 	}
 	if opts.From == nil {
@@ -237,9 +238,9 @@ func Run(a Ansatz, obs *quantum.Observable, opts Options) Result {
 				Seed:    opts.Seed,
 			})
 		}
-		if telemetry.Active() {
-			telemetry.Observe("vqe.energy_per_site", out.EnergyPerSite)
-			telemetry.Observe("vqe.round", float64(done))
+		if obs.Enabled() {
+			obs.Observe("vqe.energy_per_site", out.EnergyPerSite)
+			obs.Observe("vqe.round", float64(done))
 			telemetry.Publish("vqe.round", done, map[string]float64{
 				"round":           float64(done),
 				"rounds_total":    float64(opts.Restarts),
