@@ -53,44 +53,40 @@ func BenchmarkQR(b *testing.B) {
 	}
 }
 
-// BenchmarkSVDPrecondCutover races the two paths of svdJacobi head to
-// head across the shorter dimension n, square and 8:1 tall, on a random
-// matrix (the slowest case for Jacobi) and on a decaying spectrum (the
-// common one). svdPrecondMinCols is read from this sweep: the smallest n
-// from which the preconditioned path wins or ties every row. Measured
-// 2026-09-30 (Xeon 2.6 GHz, AVX2, -cpu 2, -benchtime 0.5s), time of the
-// preconditioned path over the plain one, sweeps plain -> preconditioned:
+// BenchmarkSVDCutover races the two SVD paths head to head across the
+// shorter dimension n, square and 8:1 tall, on a random matrix and on a
+// decaying spectrum, building every singular vector (the bidiagonal
+// kernel's slowest case). svdBidiagMinCols is read from this sweep.
+// Measured 2026-10-16 (Xeon, AVX2, 2 vCPUs, -benchtime 0.3s -count 3,
+// medians), time of svdBidiag over svdJacobi, microseconds Jacobi/bidiag:
 //
-//	n    rand 1:1    rand 8:1    decay 1:1       decay 8:1
-//	8    1.01 (6->5) 1.21 (5->5) 0.77 (8->5)     0.96 (7->5)
-//	12   1.07 (6->6) 1.07 (6->6) 0.72 (10->6)    0.71 (10->6)
-//	16   1.00 (7->6) 0.98 (6->6) 0.57 (12->6)    0.60 (12->7)
-//	20   1.02 (7->7) 0.86 (7->7) 0.54 (16->7)    0.51 (15->7)
-//	24   0.94 (7->7) 0.80 (7->7) 0.50 (17->7)    0.42 (16->7)
-//	32   0.97 (8->7) 0.73 (7->7) 0.45 (20->7)    0.34 (19->7)
-//	48   0.99 (8->7) 0.66 (8->8) 0.43 (23->8)    0.30 (23->8)
+//	n    rand 1:1      decay 1:1    rand 8:1        decay 8:1
+//	8    0.73 (18/13)  0.30 (29/9)  0.96 (42/40)    0.80 (43/34)
+//	12   0.64 (47/30)  0.22 (77/17) 0.85 (114/97)   0.54 (137/74)
+//	16   0.49 (108/53) 0.22 (173/38) 0.97 (227/221) 0.47 (343/160)
+//	20   0.44 (164/72) 0.15 (279/41) 0.68 (395/269) 0.37 (869/321)
+//	24   0.50 (302/150) 0.13 (642/80) 0.71 (786/555) 0.24 (1380/338)
+//	32   0.41 (581/236) 0.12 (1038/128) 0.44 (1804/802) 0.18 (3679/674)
+//	48   0.36 (1589/566) 0.11 (3348/353) 0.41 (5710/2317) 0.15 (12436/1888)
 //
-// Below 16 the QR costs more than the sweeps it saves on random inputs
-// (7% at n=12, 21% at n=8 tall); from 16 on no row loses by more than
-// run-to-run noise and the decaying spectra win 1.7-3x. The benchmark
-// workloads (ite_j1j2, evolve_qr, evolve_gram: SVDs of 2x2 to 24x24) do
-// not tell cutovers 0 to 24 apart in time, but ite_j1j2 does in
-// accuracy_digits, the error of its m=4 energy on the state its
-// preparation sweeps produce (benchmark/run.sh --workload ite_j1j2, the
-// same on seeds 1, 2, 3 and 7; parent 2.533, bound -15%):
+// The bidiagonal kernel loses no row (8:1 random inputs tie within run-
+// to-run noise at n = 8 and 16), and keeping k < n vectors widens its
+// lead. Time alone would put the cutover below 8. The benchmark's
+// ite_j1j2 is what holds it above: its state is prepared by SVDs of 1 to
+// 8 columns, many of them truncations of numerically rank-deficient bond
+// matrices that keep a null direction, and which unit vector fills that
+// direction is the SVD path's choice, which the un-gauged simple update
+// carries into a different state. Its accuracy_digits on seed 1 (run.sh
+// --workload ite_j1j2 --seconds 1) by cutover:
 //
-//	cutover   0,2     4       8,12,16
-//	digits    2.020   2.707   3.297
+//	cutover   2       4       8        12 (and up, = Jacobi below 12)
+//	digits    2.637   1.787   3.2949   3.2948
 //
-// Both paths return a correct SVD there. They differ in the unit vectors
-// that fill U and V where sigma vanishes: the first sweep from the
-// product state truncates 21 bond matrices of numerical rank 1 to rank
-// 2, the kept null vector is a free choice (Gram-Schmidt completes U on
-// the plain path, V on the preconditioned one), and the un-gauged simple
-// update carries that choice into a different state. A cutover below 8
-// therefore fails the benchmark's accuracy bound.
-func BenchmarkSVDPrecondCutover(b *testing.B) {
-	for _, n := range []int{4, 8, 12, 16, 20, 24, 32, 48} {
+// A cutover of 8 already changes that state (slightly); from 9 on every
+// one of its SVDs stays on Jacobi and its energies stay bit-identical.
+// 12 is the smallest measured size above that.
+func BenchmarkSVDCutover(b *testing.B) {
+	for _, n := range []int{8, 12, 16, 20, 24, 32, 48} {
 		for _, aspect := range []int{1, 8} {
 			rng := rand.New(rand.NewSource(33))
 			for _, in := range []struct {
@@ -100,21 +96,34 @@ func BenchmarkSVDPrecondCutover(b *testing.B) {
 				{"rand", tensor.Rand(rng, aspect*n, n)},
 				{"decay", decayed(rng, aspect*n, n)},
 			} {
-				for _, precond := range []bool{false, true} {
-					path := "plain"
-					if precond {
-						path = "precond"
+				b.Run(fmt.Sprintf("n%d/%dto1/%s/jacobi", n, aspect, in.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						svdJacobi(in.a)
 					}
-					b.Run(fmt.Sprintf("n%d/%dto1/%s/%s", n, aspect, in.name, path), func(b *testing.B) {
-						sweeps := 0
-						for i := 0; i < b.N; i++ {
-							_, _, _, rep := svdJacobi(in.a, precond)
-							sweeps += rep.Sweeps
-						}
-						b.ReportMetric(float64(sweeps)/float64(b.N), "sweeps/op")
-					})
-				}
+				})
+				b.Run(fmt.Sprintf("n%d/%dto1/%s/bidiag", n, aspect, in.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						svdBidiag(in.a, n)
+					}
+				})
 			}
 		}
+	}
+}
+
+// BenchmarkTruncatedSVD times the truncations the benchmark workloads
+// run, keeping k of the singular vector pairs: the 24x24 split of a
+// two-site update at r=6, the 81x81 (M=9, r=3) and 144x144 (M=12, r=3)
+// zip-up matrices of a BMPS row absorb, and the B factor of a RandSVD
+// sketch, 20 rows by 256.
+func BenchmarkTruncatedSVD(b *testing.B) {
+	for _, tc := range []struct{ m, n, k int }{{24, 24, 6}, {81, 81, 9}, {144, 144, 12}, {20, 256, 16}} {
+		a := decayed(rand.New(rand.NewSource(34)), tc.m, tc.n)
+		b.Run(fmt.Sprintf("%dx%d/k%d", tc.m, tc.n, tc.k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				TruncatedSVD(a, tc.k)
+			}
+		})
 	}
 }

@@ -1,7 +1,9 @@
 // Package linalg provides the dense complex numerical linear algebra the
 // PEPS algorithms are built on: Householder QR, Hermitian eigendecomposition
-// by the cyclic Jacobi method, singular value decomposition by one-sided
-// (Hestenes) Jacobi, truncated and randomized SVD (paper Algorithm 4),
+// by the cyclic Jacobi method, singular value decomposition by Householder
+// bidiagonalization and implicit-shift bidiagonal QR (LAPACK GESVD's
+// algorithm; one-sided Jacobi below 12 columns), truncated SVD that
+// builds only the kept singular vectors, randomized SVD (paper Algorithm 4),
 // reshape-avoiding Gram-matrix orthogonalization (paper Algorithm 5),
 // Hermitian matrix exponentials for Trotter gates, and a Lanczos
 // eigensolver for exact reference ground states.
@@ -50,7 +52,7 @@ func qr(a *tensor.Dense, wantR bool) (q, r *tensor.Dense) {
 	work := ws.c.take(m * n)
 	copy(work, a.Data())
 	h := newHouseholder(ws, work, m, n)
-	h.factor(ws, false)
+	h.factor()
 	k := h.k
 
 	if wantR {
@@ -82,7 +84,6 @@ type householder struct {
 	v       []complex128 // reflector slab, see vec
 	tau     []float64    // 2/||v_j||^2; 0 marks a skipped reflector
 	w       []complex128 // v* A row workspace, length n
-	perm    []int        // column j of A P is column perm[j] of A (pivoted only)
 }
 
 // newHouseholder prepares the factorization of the m-by-n row-major
@@ -96,53 +97,12 @@ func newHouseholder(ws *workspace, a []complex128, m, n int) householder {
 	return householder{m: m, n: n, k: k, a: a, v: slab[:nv], w: slab[nv:], tau: tau}
 }
 
-// factor reduces h.a to upper-triangular form, H_{k-1} ... H_0 A = R or,
-// with pivot set, H_{k-1} ... H_0 A P = R with |r_11| >= |r_22| >= ...
-// (Businger-Golub column pivoting: at step j the remaining column of
-// largest norm is swapped into place). The pivot choice is the first
-// maximum of a schedule-fixed scan, so the factorization is
-// deterministic.
-func (h *householder) factor(ws *workspace, pivot bool) {
-	m, n := h.m, h.n
-	var vn1, vn2 []float64
-	if pivot {
-		h.perm = ws.n.take(n)
-		norms := ws.f.take(2 * n)
-		vn1, vn2 = norms[:n], norms[n:]
-		clear(vn1)
-		for i := 0; i < m; i++ {
-			for c, x := range h.a[i*n : (i+1)*n] {
-				vn1[c] += real(x)*real(x) + imag(x)*imag(x)
-			}
-		}
-		for c := range vn1 {
-			h.perm[c] = c
-			vn1[c] = math.Sqrt(vn1[c])
-			vn2[c] = vn1[c]
-		}
-	}
+// factor reduces h.a to upper-triangular form, H_{k-1} ... H_0 A = R.
+func (h *householder) factor() {
 	for j := 0; j < h.k; j++ {
-		if pivot {
-			piv := j
-			for c := j + 1; c < n; c++ {
-				if vn1[c] > vn1[piv] {
-					piv = c
-				}
-			}
-			if piv != j {
-				for i := 0; i < m; i++ {
-					h.a[i*n+j], h.a[i*n+piv] = h.a[i*n+piv], h.a[i*n+j]
-				}
-				h.perm[j], h.perm[piv] = h.perm[piv], h.perm[j]
-				vn1[piv], vn2[piv] = vn1[j], vn2[j]
-			}
-		}
-		if h.reflector(j) {
+		if _, ok := h.reflector(j); ok {
 			// The columns left of j are already reduced.
-			h.apply(j, h.a, n, j)
-		}
-		if pivot {
-			h.downdateNorms(j, vn1, vn2)
+			h.apply(j, h.a, h.n, j)
 		}
 	}
 }
@@ -163,76 +123,58 @@ func (h *householder) apply(j int, d []complex128, cols, c0 int) {
 }
 
 // reflector builds the Householder vector that zeroes a[j+1:m, j] into
-// its slab slot and records tau; it reports false (tau stays 0) for a
-// column too small to reflect.
-func (h *householder) reflector(j int) bool {
-	n := h.n
+// its slab slot and records tau, returning the entry beta the reflector
+// leaves at a[j, j]; it reports false (tau stays 0) for a column too
+// small to reflect.
+func (h *householder) reflector(j int) (beta complex128, ok bool) {
 	v := h.vec(j)
-	maxAbs := 0.0
 	for i := range v {
-		v[i] = h.a[(j+i)*n+j]
-		if a := cmplx.Abs(v[i]); a > maxAbs {
+		v[i] = h.a[(j+i)*h.n+j]
+	}
+	h.tau[j], beta = house(v)
+	return beta, h.tau[j] != 0
+}
+
+// house turns x in place into the vector v of the Householder reflector
+// H = I - tau v v* with H x = beta e_1 and returns tau and beta. A vector
+// too small to reflect is left as it is, with tau = 0 (H = I) and
+// beta = x[0].
+func house(x []complex128) (tau float64, beta complex128) {
+	x0 := x[0]
+	maxAbs := 0.0
+	for _, xi := range x {
+		if a := cmplx.Abs(xi); a > maxAbs {
 			maxAbs = a
 		}
 	}
 	// The Householder reflector H = I - tau v v* is invariant under
-	// scaling of v, so build it from the column scaled to O(1). This
+	// scaling of v, so build it from the vector scaled to O(1). This
 	// keeps ||v||^2 out of the subnormal range where 2/||v||^2 would
 	// overflow (columns with entries ~1e-160 occur in near-rank-
-	// deficient PEPS carries). Columns too tiny to scale safely are
+	// deficient PEPS carries). Vectors too tiny to scale safely are
 	// treated as zero: the reflector is skipped, leaving only
-	// negligible sub-diagonal residue in R.
+	// negligible residue below beta.
 	if maxAbs < 1e-290 {
-		return false
+		return 0, x0
 	}
 	invScale := complex(1/maxAbs, 0)
-	for i := range v {
-		v[i] *= invScale
+	for i := range x {
+		x[i] *= invScale
 	}
-	nx := norm2(v)
+	nx := norm2(x)
 	if nx == 0 {
-		return false
+		return 0, x0
 	}
 	phase := complex(1, 0)
-	if v[0] != 0 {
-		phase = v[0] / complex(cmplx.Abs(v[0]), 0)
+	if x[0] != 0 {
+		phase = x[0] / complex(cmplx.Abs(x[0]), 0)
 	}
-	v[0] += phase * complex(nx, 0)
-	nv2 := normSq(v)
+	x[0] += phase * complex(nx, 0)
+	nv2 := normSq(x)
 	if nv2 == 0 {
-		return false
+		return 0, x0
 	}
-	h.tau[j] = 2 / nv2
-	return true
-}
-
-// downdateNorms removes row j from the partial column norms that drive
-// the pivot choice (LAPACK xLAQP2's scheme): vn1[c] tracks
-// ||a[j+1:m, c]||, and a column whose norm has cancelled to below
-// sqrt(eps) of the value it was last computed at (vn2) is recomputed
-// from its entries instead of trusted.
-func (h *householder) downdateNorms(j int, vn1, vn2 []float64) {
-	const tol3z = 1.4901161193847656e-08 // sqrt(eps)
-	m, n := h.m, h.n
-	for c := j + 1; c < n; c++ {
-		if vn1[c] == 0 {
-			continue
-		}
-		t := cmplx.Abs(h.a[j*n+c]) / vn1[c]
-		t = math.Max(0, (1+t)*(1-t))
-		r := vn1[c] / vn2[c]
-		if t*r*r > tol3z {
-			vn1[c] *= math.Sqrt(t)
-			continue
-		}
-		var ss float64
-		for i := j + 1; i < m; i++ {
-			x := h.a[i*n+c]
-			ss += real(x)*real(x) + imag(x)*imag(x)
-		}
-		vn1[c] = math.Sqrt(ss)
-		vn2[c] = vn1[c]
-	}
+	return 2 / nv2, -phase * complex(nx*maxAbs, 0)
 }
 
 // applyQ overwrites the m-by-cols row-major matrix d with Q d, where

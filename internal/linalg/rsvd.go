@@ -185,10 +185,8 @@ func randSVD(op Operator, rank int, opts RandSVDOptions, probe bool, tol float64
 	}
 	// B = P* A as an r-by-n matrix: (A* P)*.
 	b := op.ApplyAdjoint(p).Conj().Transpose(1, 0)
-	ub, sb, vb := SVD(b)
-	kk := min(k, len(sb))
-	u = tensor.MatMul(p, sliceCols(ub, kk))
-	return u, sb[:kk], sliceCols(vb, kk), rep
+	ub, sb, vb, _ := svdReport(b, k)
+	return tensor.MatMul(p, ub), sb[:ub.Dim(1)], vb, rep
 }
 
 // probeBlocks memoizes the probe block of subspaceResidual. The block is

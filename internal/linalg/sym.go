@@ -271,8 +271,8 @@ type symSingular struct {
 }
 
 // SymSVDSplit factors t (first leftAxes legs as rows) into U, s, V†
-// block by block: each row-charge sector gets a dense one-sided Jacobi
-// SVD, and the kept rank is chosen globally — the union spectrum is
+// block by block: each row-charge sector gets a dense SVD, and the kept
+// rank is chosen globally — the union spectrum is
 // sorted descending (ties broken by ascending sector charge, then
 // position) and the top min(rank, total) values survive. Within each
 // sector the kept values are a prefix of its descending spectrum, so U

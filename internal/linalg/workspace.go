@@ -3,8 +3,10 @@ package linalg
 import "gokoala/internal/pool"
 
 // workspace is the scratch of one factorization: the working copy and
-// reflector slab of a Householder QR, the column and rotation slabs of a
-// Jacobi SVD, and their norm, pivot and schedule vectors. QR and SVD are
+// reflector slabs of a Householder QR or bidiagonalization, the rotation
+// logs of a bidiagonal QR and the block they are replayed on, the column
+// and rotation slabs of a Jacobi SVD, and their norm, order and schedule
+// vectors. QR and SVD are
 // called thousands of times per lattice operation on matrices of a few
 // hundred elements, where allocating these afresh cost more than the
 // arithmetic on them; a factorization checks a workspace out of a

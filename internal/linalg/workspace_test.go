@@ -37,6 +37,30 @@ func TestQRAllocs(t *testing.T) {
 	}
 }
 
+// TestTruncatedSVDAllocs holds the truncated SVD to the same discipline
+// on the shapes the benchmark workloads truncate most (81x81 keeping 9 in
+// a BMPS zip-up, 24x24 keeping 6 in a two-site update): warmed, it
+// allocates the k-column factors it returns and the singular values —
+// two tensors at three allocations each, one slice — and no scratch,
+// before and after two GC cycles.
+func TestTruncatedSVDAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, tc := range []struct{ m, n, k int }{{81, 81, 9}, {24, 24, 6}} {
+		a := tensor.Rand(rng, tc.m, tc.n)
+		run := func() { TruncatedSVD(a, tc.k) }
+		run() // grows the workspace
+		warm := testing.AllocsPerRun(20, run)
+		if warm > 7 {
+			t.Errorf("warmed %dx%d/k=%d TruncatedSVD allocates %v times per run, want at most 7 (the factors)", tc.m, tc.n, tc.k, warm)
+		}
+		runtime.GC()
+		runtime.GC()
+		if after := testing.AllocsPerRun(20, run); after != warm {
+			t.Errorf("%dx%d TruncatedSVD allocates %v times per run after two GC cycles, %v before", tc.m, tc.n, after, warm)
+		}
+	}
+}
+
 // TestWorkspaceReuseKeepsResults runs factorizations of different shapes
 // back to back from 8 goroutines, so that every one of them works on a
 // dirty, differently-sized workspace another just returned, and compares
