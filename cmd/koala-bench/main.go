@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	koala-bench [-full] [-workers n] [-kernel auto|asm|go] [-f32-sketch] [-trace file] [-metrics file] [-json dir] [-compare dir] <experiment>...
+//	koala-bench [-full] [-workers n] [-ranks n] [-kernel auto|asm|go] [-f32-sketch] [-trace file] [-metrics file] [-json dir] [-scaling=false] [-compare dir] [-listen addr] <experiment>...
 //	koala-bench all
 //
 // Kernel tuning: -kernel forces the compute-kernel dispatch (default:
@@ -11,18 +11,10 @@
 // the randomized-SVD sketch stage in complex64. Both are recorded in
 // the BENCH json "kernel" fields; neither is gated by -compare.
 //
-// Transport: -transport unix|tcp with -ranks n launches n real rank
-// processes behind the dist grids of the suites whose simulated rank
-// count matches (-ranks also overrides fig7a/b and fig8a/b's default).
-// Modeled stats are bit-identical to -transport inproc; the run
-// additionally records measured wall clock per collective
-// (dist.measured.* counters, shown by koala-obs report).
-//
-// -rank-trace dir captures one JSONL trace log per rank process into
-// dir (rank0.jsonl = driver) plus a manifest.json with the NTP-style
-// clock-offset estimates; merge into one skew-corrected multi-rank
-// trace with `koala-obs merge dir`. With -json, per-rank measured comm
-// stats land in the BENCH json "ranks" array.
+// -ranks n overrides the simulated rank count of fig7a/b and fig8a/b.
+// Every dist grid is an alpha-beta-gamma metering model over one
+// address space: its modeled seconds are uncalibrated against any
+// measured collective (EXPERIMENTS.md, Known deviations).
 //
 // Experiments: table2 fig7a fig7b fig8a fig8b fig9 fig10 fig11 fig12
 // fig13a fig13b fig14 ablation sym. The -full flag selects larger sweeps closer to the
@@ -62,7 +54,6 @@ import (
 )
 
 func main() {
-	cliutil.MaybeRankMode()
 	full := flag.Bool("full", false, "run the larger parameter sweeps")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON file")
 	metricsFile := flag.String("metrics", "", "write a JSON-lines span/metrics log")
@@ -73,18 +64,13 @@ func main() {
 	listen := cliutil.ListenFlag()
 	kernel := cliutil.KernelFlag()
 	f32Sketch := cliutil.F32SketchFlag()
-	transport := cliutil.TransportFlag()
 	ranks := cliutil.RanksFlag()
-	rankTrace := cliutil.RankTraceFlag()
 	flag.Parse()
 	cliutil.ApplyWorkers(*workers)
 	if err := cliutil.ApplyKernel(*kernel); err != nil {
 		fatal(err)
 	}
 	bench.SetSketch32(*f32Sketch)
-	if *transport != "inproc" && *ranks <= 0 {
-		fatal(fmt.Errorf("-transport %s requires -ranks > 0", *transport))
-	}
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()
@@ -106,7 +92,7 @@ func main() {
 		}
 	}
 
-	observing := *traceFile != "" || *metricsFile != "" || *jsonDir != "" || *compareDir != "" || *rankTrace != ""
+	observing := *traceFile != "" || *metricsFile != "" || *jsonDir != "" || *compareDir != ""
 	var closers []io.Closer
 	if observing {
 		var sinks []obs.Sink
@@ -128,23 +114,6 @@ func main() {
 		}
 		// The per-suite phase breakdown below is a sink like the files.
 		obs.Enable(append(sinks, obs.PhaseSummary())...)
-		if *rankTrace != "" {
-			rc, err := cliutil.EnableRankTrace(*rankTrace)
-			if err != nil {
-				fatal(err)
-			}
-			closers = append(closers, rc)
-		}
-	}
-	// The transport opens after obs so its collective spans (and the
-	// clock-sync manifest under -rank-trace) are captured from the start.
-	tr, err := cliutil.OpenTransport(*transport, *ranks, *rankTrace)
-	if err != nil {
-		fatal(err)
-	}
-	if tr != nil {
-		bench.SetTransport(tr)
-		defer tr.Close()
 	}
 	tel, err := cliutil.StartTelemetry(*listen, "bench", map[string]string{"suites": strings.Join(args, ",")})
 	if err != nil {
@@ -247,8 +216,7 @@ func main() {
 // suite maps an experiment name to its configuration (recorded in the
 // BENCH_<suite>.json Params field) and a runner. A nil runner means the
 // name is unknown. ranks > 0 overrides the simulated rank count of the
-// suites that have one (fig7a/b, fig8a/b) — the way -transport runs
-// match the grid size to the real process count.
+// suites that have one (fig7a/b, fig8a/b).
 func suite(name string, full bool, ranks int) (interface{}, func(io.Writer)) {
 	switch name {
 	case "table2":
@@ -424,6 +392,6 @@ func fatal(err error) {
 const divider = "================================================================"
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: koala-bench [-full] [-kernel auto|asm|go] [-f32-sketch] [-transport inproc|unix|tcp] [-ranks n] [-rank-trace dir] [-trace file] [-metrics file] [-json dir] [-compare dir] <experiment>...
+	fmt.Fprintln(os.Stderr, `usage: koala-bench [-full] [-workers n] [-ranks n] [-kernel auto|asm|go] [-f32-sketch] [-trace file] [-metrics file] [-json dir] [-scaling=false] [-compare dir] [-listen addr] <experiment>...
 experiments: table2 fig7a fig7b fig8a fig8b fig9 fig10 fig11 fig12 fig13a fig13b fig14 ablation sym | all`)
 }

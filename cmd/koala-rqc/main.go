@@ -4,7 +4,8 @@
 //
 // Usage:
 //
-//	koala-rqc -n 4 -layers 4 -ms 1,2,4,8,16
+//	koala-rqc [-n 4] [-layers 4] [-r 0] [-ms 1,2,4,8,16] [-ranks n] [-seed 7] [-workers n]
+//	          [-kernel auto|asm|go] [-f32-sketch] [-trace file] [-metrics file] [-listen addr]
 package main
 
 import (
@@ -26,7 +27,6 @@ import (
 )
 
 func main() {
-	cliutil.MaybeRankMode()
 	n := flag.Int("n", 4, "lattice side length")
 	layers := flag.Int("layers", 4, "circuit depth")
 	evolveRank := flag.Int("r", 0, "evolution bond cap (0 = exact)")
@@ -37,9 +37,7 @@ func main() {
 	listen := cliutil.ListenFlag()
 	kernel := cliutil.KernelFlag()
 	f32Sketch := cliutil.F32SketchFlag()
-	transport := cliutil.TransportFlag()
 	ranks := cliutil.RanksFlag()
-	rankTrace := cliutil.RankTraceFlag()
 	flag.Parse()
 	cliutil.ApplyWorkers(*workers)
 	if err := cliutil.ApplyKernel(*kernel); err != nil {
@@ -47,15 +45,6 @@ func main() {
 	}
 	if _, err := oc.Setup(); err != nil {
 		log.Fatal(err)
-	}
-	if *rankTrace != "" {
-		rc, err := cliutil.EnableRankTrace(*rankTrace)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Closes after oc.Finish (defers run LIFO), which is what flushes
-		// the rank-0 log's final metrics snapshot.
-		defer rc.Close()
 	}
 	tel, err := cliutil.StartTelemetry(*listen, "rqc", map[string]string{
 		"n": fmt.Sprint(*n), "layers": fmt.Sprint(*layers),
@@ -83,27 +72,15 @@ func main() {
 	fmt.Printf("RQC: %dx%d lattice, %d layers, %d gates\n", *n, *n, *layers, len(circ.Gates))
 
 	// Engine selection: -ranks > 0 runs the heavy kernels through the
-	// SPMD dist engine; -transport unix|tcp additionally launches real
-	// rank processes behind it. Everything the run prints to stdout is
-	// deterministic and transport-independent (numerics live in shared
-	// memory either way); the modeled/measured grid summary goes to
-	// stderr so outputs stay byte-comparable across transports.
+	// SPMD dist engine. Its modeled grid summary goes to stderr, so
+	// stdout stays byte-comparable with a dense run's.
 	eng := backend.Instrument(backend.NewDense())
 	var grid *dist.Grid
 	if *ranks > 0 {
-		tr, err := cliutil.OpenTransport(*transport, *ranks, *rankTrace)
-		if err != nil {
-			log.Fatal(err)
-		}
-		grid = dist.NewGrid(dist.Stampede2(*ranks)).SetTransport(tr)
-		if tr != nil {
-			defer tr.Close()
-		}
+		grid = dist.NewGrid(dist.Stampede2(*ranks))
 		deng := &backend.Dist{Grid: grid, UseGram: true, LocalSVD: true}
 		eng = backend.Instrument(deng)
 		fmt.Printf("engine: %s, ranks: %d\n", deng.Name(), *ranks)
-	} else if *transport != "inproc" {
-		log.Fatalf("-transport %s requires -ranks > 0", *transport)
 	}
 	state := peps.ComputationalZeros(eng, *n, *n)
 	applied := rqc.Apply(state, circ, peps.UpdateOptions{Rank: *evolveRank, Method: peps.UpdateQR},
@@ -135,33 +112,16 @@ func main() {
 	}
 	if grid != nil {
 		writeGridSummary(os.Stderr, grid)
-		if err := grid.TransportError(); err != nil {
-			fmt.Fprintf(os.Stderr, "koala-rqc: %v\n", err)
-			os.Exit(1)
-		}
 	}
 	if err := oc.Finish(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// writeGridSummary prints the grid's modeled accounting and, when a real
-// transport ran, the measured wall clock per collective — to stderr, so
-// stdout stays bit-comparable across transports.
+// writeGridSummary prints the grid's modeled accounting to stderr.
 func writeGridSummary(w io.Writer, g *dist.Grid) {
 	s := g.Snapshot()
 	fmt.Fprintf(w, "\n-- dist grid --\n")
 	fmt.Fprintf(w, "modeled: %.6fs comm + %.6fs comp (%d msgs, %d bytes, %d redistributions)\n",
 		s.CommSeconds(), s.CompSeconds, s.Msgs, s.Bytes, s.Redistributions)
-	if s.MeasuredOps == 0 {
-		return
-	}
-	fmt.Fprintf(w, "measured: %.6fs over %d collectives\n", s.MeasuredCommSeconds, s.MeasuredOps)
-	for _, o := range g.OpBreakdown() {
-		if o.MeasuredOps == 0 && o.ModeledSeconds == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "  %-10s modeled %.6fs  measured %.6fs  (%d ops)\n",
-			o.Op, o.ModeledSeconds, o.MeasuredSeconds, o.MeasuredOps)
-	}
 }

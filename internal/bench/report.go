@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"gokoala/internal/dist"
 	"gokoala/internal/einsum"
 	"gokoala/internal/obs"
 	"gokoala/internal/pool"
@@ -77,12 +76,6 @@ type SuiteResult struct {
 	// wall-clock it is reported for context and never gated by
 	// CompareSuite.
 	Kernel *KernelInfo `json:"kernel,omitempty"`
-	// Ranks carries the per-rank measured comm stats of a real-transport
-	// run (-transport unix|tcp): per-process measured wall clock per
-	// collective plus the clock-offset estimates from the sync pings.
-	// Like wall-clock it is machine-dependent and never gated by
-	// CompareSuite; nil for inproc runs.
-	Ranks []dist.RankStat `json:"ranks,omitempty"`
 }
 
 // KernelInfo is the per-suite snapshot of the compute-kernel dispatch:
@@ -165,9 +158,6 @@ func CollectSuiteMetrics(res *SuiteResult) {
 		GramFallbacks:      int64(obs.MetricValueOf("health.gram_fallbacks")),
 		Nonconverged:       int64(obs.MetricValueOf("health.nonconverged")),
 		CheckpointFailures: int64(obs.MetricValueOf("health.checkpoint_failures")),
-	}
-	if rs, ok := benchTransport.(dist.RankStatser); ok {
-		res.Ranks = rs.RankStats()
 	}
 }
 

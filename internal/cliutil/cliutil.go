@@ -37,6 +37,12 @@ func ApplyKernel(s string) error {
 	return tensor.SetKernel(s)
 }
 
+// RanksFlag registers the standard -ranks flag: the SPMD grid size for
+// engines that take one. 0 keeps each suite's own default.
+func RanksFlag() *int {
+	return flag.Int("ranks", 0, "SPMD ranks for dist engines (0 = suite default)")
+}
+
 // F32SketchFlag registers the standard -f32-sketch flag: compute the
 // randomized-SVD sketch and power-iteration contractions in complex64
 // (see einsumsvd.ImplicitRand.Sketch32). The probe and final projection

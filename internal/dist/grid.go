@@ -37,17 +37,8 @@ type Grid struct {
 	seqFlops    int64
 	redistCount int64
 
-	// Per-op modeled communication time, for the modeled-vs-measured
-	// split of koala-obs report (OpGemm has no measured counterpart).
+	// Per-op modeled communication time (OpBreakdown).
 	modeledOpPs [NumOps]int64
-
-	// Real-transport state: the attached transport (nil = in-process),
-	// its first error, and the measured wall-clock per collective
-	// recorded beside the modeled accounting. See transport.go.
-	transport    Transport
-	transportErr error
-	measOps      [NumOps]int64
-	measPs       [NumOps]int64
 
 	// Per-rank timeline accounts and the label naming this grid in
 	// emitted rank records; see timeline.go.
@@ -93,22 +84,6 @@ type Stats struct {
 	ParallelFlops      int64
 	SequentialFlops    int64
 	Redistributions    int64
-	// MeasuredOps and MeasuredCommSeconds are the real-transport side of
-	// the accounting: how many collectives actually moved bytes between
-	// rank processes and the wall-clock they took. Both stay zero on the
-	// in-process engine, and neither is deterministic — compare modeled
-	// accounting across transports with ModeledOnly.
-	MeasuredOps         int64
-	MeasuredCommSeconds float64
-}
-
-// ModeledOnly returns the deterministic machine-model part of the
-// snapshot with the measured (wall-clock) fields zeroed, so modeled
-// accounting can be compared bit-for-bit across transports.
-func (s Stats) ModeledOnly() Stats {
-	s.MeasuredOps = 0
-	s.MeasuredCommSeconds = 0
-	return s
 }
 
 // CommBandwidthSeconds is the total byte-transfer time.
@@ -132,9 +107,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		ParallelFlops:      s.ParallelFlops - prev.ParallelFlops,
 		SequentialFlops:    s.SequentialFlops - prev.SequentialFlops,
 		Redistributions:    s.Redistributions - prev.Redistributions,
-
-		MeasuredOps:         s.MeasuredOps - prev.MeasuredOps,
-		MeasuredCommSeconds: s.MeasuredCommSeconds - prev.MeasuredCommSeconds,
 	}
 }
 
@@ -150,8 +122,6 @@ func (g *Grid) Reset() {
 	g.msgs, g.bytes, g.parFlops, g.seqFlops, g.redistCount = 0, 0, 0, 0, 0
 	g.commLatPs, g.bwGemmPs, g.bwBigPs, g.bwSmallPs, g.compPs = 0, 0, 0, 0, 0
 	g.modeledOpPs = [NumOps]int64{}
-	g.measOps = [NumOps]int64{}
-	g.measPs = [NumOps]int64{}
 	g.ranks = nil
 }
 
@@ -159,11 +129,6 @@ func (g *Grid) Reset() {
 func (g *Grid) Snapshot() Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var mOps, mPs int64
-	for op := Op(0); op < NumOps; op++ {
-		mOps += g.measOps[op]
-		mPs += g.measPs[op]
-	}
 	return Stats{
 		Msgs:               g.msgs,
 		Bytes:              g.bytes,
@@ -175,38 +140,52 @@ func (g *Grid) Snapshot() Stats {
 		ParallelFlops:      g.parFlops,
 		SequentialFlops:    g.seqFlops,
 		Redistributions:    g.redistCount,
-
-		MeasuredOps:         mOps,
-		MeasuredCommSeconds: secs(mPs),
 	}
 }
 
-// OpStats is the per-collective modeled-vs-measured split of one op.
+// OpStats is the modeled communication time of one op.
 type OpStats struct {
-	Op              Op
-	ModeledSeconds  float64
-	MeasuredSeconds float64
-	MeasuredOps     int64
+	Op             Op
+	ModeledSeconds float64
 }
 
-// OpBreakdown returns the per-op modeled and measured communication
-// accounting, in Op order (OpGemm last, always measured-zero).
+// OpBreakdown returns the per-op modeled communication accounting, in Op
+// order.
 func (g *Grid) OpBreakdown() []OpStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	out := make([]OpStats, 0, NumOps)
 	for op := Op(0); op < NumOps; op++ {
-		out = append(out, OpStats{
-			Op:              op,
-			ModeledSeconds:  secs(g.modeledOpPs[op]),
-			MeasuredSeconds: secs(g.measPs[op]),
-			MeasuredOps:     g.measOps[op],
-		})
+		out = append(out, OpStats{Op: op, ModeledSeconds: secs(g.modeledOpPs[op])})
 	}
 	return out
 }
 
 // --- collective accounting ---
+
+// Op identifies one of the grid's metered communication patterns: the
+// five collectives, plus OpGemm, the GEMM communication lower bound of
+// GemmComm.
+type Op uint8
+
+const (
+	OpBcast Op = iota
+	OpGather
+	OpAllgather
+	OpAllreduce
+	OpAllToAll
+	OpGemm
+	NumOps
+)
+
+var opNames = [NumOps]string{"bcast", "gather", "allgather", "allreduce", "alltoall", "gemm"}
+
+func (o Op) String() string {
+	if int(o) < len(opNames) {
+		return opNames[o]
+	}
+	return "unknown"
+}
 
 // bandwidth classes for addComm
 type bwClass int
@@ -252,7 +231,6 @@ func (g *Grid) Allgather(totalBytes int64) {
 	}
 	lat, bw := g.Machine.allgatherSeconds(totalBytes)
 	g.addComm(OpAllgather, int64(g.Machine.Ranks), totalBytes, lat, bw, bwClassBig, 0)
-	g.realize(OpAllgather, totalBytes)
 }
 
 // Allreduce meters an allreduce of a bytes-sized buffer replicated on
@@ -263,7 +241,6 @@ func (g *Grid) Allreduce(bytes int64) {
 	}
 	lat, bw := g.Machine.allgatherSeconds(bytes)
 	g.addComm(OpAllreduce, 2*log2msgs(g.Machine.Ranks), bytes, 2*lat, 2*bw, bwClassSmall, 0)
-	g.realize(OpAllreduce, bytes)
 }
 
 // AllToAll meters a full redistribution (the cost of a distributed
@@ -274,7 +251,6 @@ func (g *Grid) AllToAll(totalBytes int64) {
 	}
 	lat, bw := g.Machine.alltoallSeconds(totalBytes)
 	g.addComm(OpAllToAll, int64(g.Machine.Ranks)*int64(g.Machine.Ranks-1), totalBytes, lat, bw, bwClassBig, 1)
-	g.realize(OpAllToAll, totalBytes)
 }
 
 // Gather meters collecting a distributed tensor onto one rank (or the
@@ -285,7 +261,6 @@ func (g *Grid) Gather(totalBytes int64) {
 	}
 	lat, bw := g.Machine.gatherSeconds(totalBytes)
 	g.addComm(OpGather, int64(g.Machine.Ranks), totalBytes, lat, bw, bwClassBig, 0)
-	g.realize(OpGather, totalBytes)
 }
 
 // Bcast meters broadcasting bytes from one rank to all.
@@ -295,7 +270,6 @@ func (g *Grid) Bcast(bytes int64) {
 	}
 	lat, bw := g.Machine.bcastSeconds(bytes)
 	g.addComm(OpBcast, log2msgs(g.Machine.Ranks), bytes, lat, bw, bwClassSmall, 0)
-	g.realize(OpBcast, bytes)
 }
 
 func log2msgs(p int) int64 {

@@ -10,10 +10,8 @@ import (
 // TraceRegion turns a Stats delta into span annotations so modeled
 // seconds appear next to measured seconds in traces and phase summaries.
 //
-// The dist.modeled.* counters are deterministic (functions of the
-// machine model and the metered operation counts); the dist.measured.*
-// counters are real-transport wall clock and are excluded from the
-// deterministic diff/gate surface (obsfile.DeterministicMetric).
+// Every dist.* counter is deterministic: a function of the machine model
+// and the metered operation counts (obsfile.DeterministicMetric).
 var (
 	obsCommMsgs  = obs.NewCounter("dist.comm.msgs")
 	obsCommBytes = obs.NewCounter("dist.comm.bytes")
@@ -21,24 +19,14 @@ var (
 	obsCommSecs  = obs.NewFloatCounter("dist.modeled.comm_seconds")
 	obsCompSecs  = obs.NewFloatCounter("dist.modeled.comp_seconds")
 
-	obsMeasSecs = obs.NewFloatCounter("dist.measured.comm_seconds")
-	obsMeasOps  = obs.NewCounter("dist.measured.comm_ops")
-
-	// Per-collective modeled/measured split, indexed by Op; the names
-	// feed the modeled-vs-measured table of koala-obs report.
-	obsModeledOp  [NumOps]*obs.FloatCounter
-	obsMeasOpSecs [NumOps]*obs.FloatCounter
-	obsMeasOpN    [NumOps]*obs.Counter
+	// Per-op modeled seconds, indexed by Op; the names feed the
+	// collectives table of koala-obs report.
+	obsModeledOp [NumOps]*obs.FloatCounter
 )
 
 func init() {
 	for op := Op(0); op < NumOps; op++ {
 		obsModeledOp[op] = obs.NewFloatCounter("dist.modeled." + op.String() + "_seconds")
-		if op == OpGemm {
-			continue // modeled-only: no collective realization
-		}
-		obsMeasOpSecs[op] = obs.NewFloatCounter("dist.measured." + op.String() + "_seconds")
-		obsMeasOpN[op] = obs.NewCounter("dist.measured." + op.String() + "_ops")
 	}
 }
 
@@ -58,18 +46,6 @@ func observeComm(op Op, msgs, bytes int64, secs float64, redists int64) {
 	}
 }
 
-// observeMeasured mirrors one realized collective's wall clock into the
-// obs counters. Called with the grid mutex held, like observeComm.
-func observeMeasured(op Op, secs float64) {
-	if !obs.Enabled() {
-		return
-	}
-	obsMeasSecs.Add(secs)
-	obsMeasOps.Add(1)
-	obsMeasOpSecs[op].Add(secs)
-	obsMeasOpN[op].Add(1)
-}
-
 // observeComp mirrors modeled compute seconds into the obs counters.
 func observeComp(secs float64) {
 	if !obs.Enabled() {
@@ -79,10 +55,8 @@ func observeComp(secs float64) {
 }
 
 // AnnotateSpan attaches the Stats delta since before to the span: the
-// modeled wall seconds, their communication/computation split, the
-// measured message/byte counts of the region, and — when a real
-// transport is attached — the measured collective wall clock beside the
-// modeled seconds.
+// modeled wall seconds, their communication/computation split, and the
+// message/byte counts of the region.
 func (g *Grid) AnnotateSpan(sp *obs.Span, before Stats) {
 	if sp == nil {
 		return
@@ -94,10 +68,6 @@ func (g *Grid) AnnotateSpan(sp *obs.Span, before Stats) {
 	sp.SetInt("comm_bytes", d.Bytes)
 	sp.SetInt("comm_msgs", d.Msgs)
 	sp.SetInt("redistributions", d.Redistributions)
-	if d.MeasuredOps > 0 {
-		sp.SetFloat("measured_comm_s", d.MeasuredCommSeconds)
-		sp.SetInt("measured_ops", d.MeasuredOps)
-	}
 }
 
 // TraceRegion runs f inside a span named name, annotated with the grid's

@@ -127,9 +127,12 @@ func trotterGates(obs *quantum.Observable, opts Options) []quantum.TrotterGate {
 
 // Evolve runs ITE on the given initial state and returns the energy
 // trace. The state is evolved in place (resume replaces it with the
-// checkpointed state). Starting from the |+...+> product state (see
-// PlusState) guarantees overlap with the ground sector of the benchmark
-// Hamiltonians.
+// checkpointed state). For the transverse-field Ising model the |+...+>
+// product state (see PlusState) overlaps the ground state. For J1-J2 it
+// does not: |+...+> lies in the ferromagnetic S = n/2 sector, a uniform
+// Trotter sweep maps it to another symmetric product state, and its
+// overlap with the lower-S ground state is exactly zero, so a J1-J2 run
+// from it leaves the plateau only through rounding noise.
 func Evolve(state *peps.PEPS, obs *quantum.Observable, opts Options) Result {
 	if (opts.CheckpointPath != "" || opts.From != nil) && opts.WeightedUpdate {
 		panic("ite: checkpointing does not support WeightedUpdate (bond weights are not serialized)")

@@ -47,7 +47,7 @@ func Enabled() bool { return enabled.Load() }
 var nextSpanID atomic.Int64
 
 // tracerState is what a span start or end reads: immutable once
-// published, replaced whole by Enable/AddSink/Disable.
+// published, replaced whole by Enable/Disable.
 type tracerState struct {
 	sinks  []Sink
 	origin time.Time // trace epoch for relative timestamps
@@ -77,25 +77,8 @@ func Enable(sinks ...Sink) {
 	enabled.Store(true)
 }
 
-// AddSink attaches one more sink to an already-enabled tracer without
-// resetting the registry or the trace origin — the way a driver routes
-// its own spans into a per-run rank-trace directory after -trace/-metrics
-// already installed their sinks. No-op while disabled.
-func AddSink(s Sink) {
-	tracerMu.Lock()
-	defer tracerMu.Unlock()
-	st := tracer.Load()
-	if st == nil || s == nil {
-		return
-	}
-	tracer.Store(&tracerState{sinks: append(append([]Sink(nil), st.sinks...), s), origin: st.origin})
-}
-
 // Origin returns the trace epoch: the wall-clock instant of the Enable
 // call that all span offsets are relative to. Zero while disabled.
-// Multi-process trace merging (obsfile.MergeRanks) aligns per-rank logs
-// by pairing each log's epoch with the measured inter-process clock
-// offset.
 func Origin() time.Time {
 	if st := tracer.Load(); st != nil {
 		return st.origin

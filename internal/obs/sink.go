@@ -83,32 +83,21 @@ func attrMap(attrs []Attr) map[string]interface{} {
 // Rank timelines append {"type":"rank"} records, and Flush appends a
 // {"type":"metrics"} record with the current counter snapshot, so a
 // finished log carries the run's totals. The first record is preceded by
-// a {"type":"meta"} line identifying the writing process (rank, pid) and
-// its trace epoch (Origin, unix ns) — the anchor obsfile.MergeRanks
-// needs to put several processes' logs on one clock. This is the format
+// a {"type":"meta"} line identifying the writing process (rank -1, pid)
+// and its trace epoch (Origin, unix ns). This is the format
 // cmd/koala-obs (internal/obsfile) reads back.
 type JSONLSink struct {
 	mu       sync.Mutex
 	w        io.Writer
 	err      error
-	rank     int
 	metaDone bool
 }
 
 // NewJSONLSink returns a JSONL sink writing to w.
-func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w, rank: -1} }
+func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
 
-// SetRank tags the log with the writing process's dist rank, making the
-// leading meta record carry it (rank-trace directories name files
-// rank<N>.jsonl and the merger cross-checks the tag). Call before the
-// first span ends; untagged sinks write rank -1 (single-process trace).
-func (s *JSONLSink) SetRank(rank int) {
-	s.mu.Lock()
-	s.rank = rank
-	s.mu.Unlock()
-}
-
-// jsonlMeta is the leading record identifying the writing process.
+// jsonlMeta is the leading record identifying the writing process. Rank
+// is always -1: one process writes the whole log.
 type jsonlMeta struct {
 	Type        string `json:"type"`
 	Rank        int    `json:"rank"`
@@ -146,7 +135,7 @@ func (s *JSONLSink) write(rec interface{}) {
 		if o := Origin(); !o.IsZero() {
 			epoch = o.UnixNano()
 		}
-		meta, _ := json.Marshal(jsonlMeta{Type: "meta", Rank: s.rank, PID: os.Getpid(), EpochUnixNS: epoch})
+		meta, _ := json.Marshal(jsonlMeta{Type: "meta", Rank: -1, PID: os.Getpid(), EpochUnixNS: epoch})
 		_, s.err = s.w.Write(append(meta, '\n'))
 	}
 	if s.err == nil {

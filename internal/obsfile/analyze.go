@@ -185,32 +185,21 @@ func (t *Trace) RankTable() []RankRow {
 	return out
 }
 
-// CollectiveRow is one collective's modeled-vs-measured comparison,
-// rebuilt from the dist.modeled.* / dist.measured.* counters: the
-// machine-model seconds beside the wall clock the attached transport
-// actually took (zero when the run used the in-process engine).
+// CollectiveRow is one communication op's modeled seconds, rebuilt from
+// the dist.modeled.<op>_seconds counter.
 type CollectiveRow struct {
-	Op              string  `json:"op"`
-	ModeledSeconds  float64 `json:"modeled_s"`
-	MeasuredSeconds float64 `json:"measured_s"`
-	MeasuredOps     int64   `json:"measured_ops,omitempty"`
+	Op             string  `json:"op"`
+	ModeledSeconds float64 `json:"modeled_s"`
 }
 
-// Collectives returns the per-collective modeled-vs-measured rows for
-// every op the run metered, in op order. Empty when the run drove no
-// dist grid.
+// Collectives returns the per-op modeled communication rows for every op
+// the run metered, in op order. Empty when the run drove no dist grid.
 func (t *Trace) Collectives() []CollectiveRow {
 	var out []CollectiveRow
 	for op := dist.Op(0); op < dist.NumOps; op++ {
 		name := op.String()
-		row := CollectiveRow{
-			Op:              name,
-			ModeledSeconds:  t.Metrics["dist.modeled."+name+"_seconds"],
-			MeasuredSeconds: t.Metrics["dist.measured."+name+"_seconds"],
-			MeasuredOps:     int64(t.Metrics["dist.measured."+name+"_ops"]),
-		}
-		if row.ModeledSeconds != 0 || row.MeasuredSeconds != 0 || row.MeasuredOps != 0 {
-			out = append(out, row)
+		if s := t.Metrics["dist.modeled."+name+"_seconds"]; s != 0 {
+			out = append(out, CollectiveRow{Op: name, ModeledSeconds: s})
 		}
 	}
 	return out

@@ -16,11 +16,6 @@ import (
 // under concurrent compilation, scratch memory peaks — depends on
 // scheduling and is reported but never diffed or gated.
 func DeterministicMetric(name string) bool {
-	// dist.measured.* is real-transport wall clock (recorded beside the
-	// modeled dist.* accounting) — never deterministic.
-	if strings.HasPrefix(name, "dist.measured.") {
-		return false
-	}
 	deterministic := []string{
 		"dist.",
 		"einsum.gemm.",

@@ -4,8 +4,6 @@
 // scripts can consume a trace without scraping the aligned tables.
 package obsfile
 
-import "sort"
-
 // ReportDoc is the JSON form of a full trace report. Field names are
 // part of the CLI contract (koala-obs report -json); extend, don't
 // rename.
@@ -19,47 +17,9 @@ type ReportDoc struct {
 	Top          map[string][]SpanDoc `json:"top_spans,omitempty"`
 	CriticalPath *CriticalPathDoc     `json:"critical_path,omitempty"`
 	Ranks        []RankRow            `json:"ranks,omitempty"`
-	// Collectives is the per-collective modeled-vs-measured table; the
-	// measured columns stay zero for in-process (modeled-only) runs.
+	// Collectives is the per-collective modeled communication table.
 	Collectives []CollectiveRow    `json:"collectives,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
-	// Merged carries the multi-rank sections of a trace produced by
-	// koala-obs merge; nil for single-process traces.
-	Merged *MergedDoc `json:"merged,omitempty"`
-}
-
-// MergedDoc is the merged-trace section of a report: alignment quality,
-// per-rank utilization over the shared window, per-rank measured comm,
-// and the cross-rank critical path through matched send/recv pairs.
-type MergedDoc struct {
-	Ranks         int           `json:"ranks"`
-	MaxResidualNS int64         `json:"max_residual_ns"`
-	Truncated     bool          `json:"truncated,omitempty"`
-	Flows         int           `json:"flows"`
-	FlowsByOp     []FlowOpRow   `json:"flows_by_op,omitempty"`
-	Utilization   []RankUtil    `json:"utilization,omitempty"`
-	MeasuredOps   []RankOpRow   `json:"measured_ops,omitempty"`
-	CrossRankPath *CrossPathDoc `json:"cross_rank_critical_path,omitempty"`
-}
-
-// FlowOpRow aggregates the matched comm pairs of one collective op.
-type FlowOpRow struct {
-	Op            string  `json:"op"`
-	Pairs         int     `json:"pairs"`
-	MeanLatencyUS float64 `json:"mean_latency_us"`
-}
-
-// CrossPathDoc is the cross-rank critical path in JSON form.
-type CrossPathDoc struct {
-	TotalUS float64        `json:"total_us"`
-	Steps   []CrossStepDoc `json:"steps"`
-}
-
-// CrossStepDoc is one hop of the cross-rank critical path.
-type CrossStepDoc struct {
-	SpanDoc
-	Rank      int  `json:"rank"`
-	CrossRank bool `json:"cross_rank"`
 }
 
 // PhaseDoc is one per-phase aggregate row.
@@ -158,58 +118,5 @@ func BuildReport(t *Trace, topK int) *ReportDoc {
 	}
 	doc.Ranks = t.RankTable()
 	doc.Collectives = t.Collectives()
-	if t.IsMerged() {
-		doc.Merged = buildMergedDoc(t)
-	}
 	return doc
-}
-
-// buildMergedDoc assembles the multi-rank sections for a merged trace.
-func buildMergedDoc(t *Trace) *MergedDoc {
-	md := &MergedDoc{
-		Ranks:         t.Meta.RankCount,
-		MaxResidualNS: t.Meta.MaxResidualNS,
-		Truncated:     t.Truncated,
-		Flows:         len(t.Flows),
-		Utilization:   t.RankUtilization(),
-		MeasuredOps:   t.RankMeasuredOps(),
-	}
-	md.FlowsByOp = FlowsByOp(t)
-	if cp := t.CrossRankCriticalPath(); cp != nil {
-		cpd := &CrossPathDoc{TotalUS: cp.TotalUS}
-		for _, st := range cp.Steps {
-			cpd.Steps = append(cpd.Steps, CrossStepDoc{
-				SpanDoc: spanDoc(st.Span), Rank: st.Rank, CrossRank: st.CrossRank,
-			})
-		}
-		md.CrossRankPath = cpd
-	}
-	return md
-}
-
-// FlowsByOp aggregates a merged trace's flow records per collective op
-// (pair count and mean end-to-end latency), sorted by op.
-func FlowsByOp(t *Trace) []FlowOpRow {
-	agg := map[string]*FlowOpRow{}
-	order := []string{}
-	for _, f := range t.Flows {
-		r := agg[f.Op]
-		if r == nil {
-			r = &FlowOpRow{Op: f.Op}
-			agg[f.Op] = r
-			order = append(order, f.Op)
-		}
-		r.Pairs++
-		r.MeanLatencyUS += f.LatencyUS
-	}
-	sort.Strings(order)
-	rows := make([]FlowOpRow, 0, len(order))
-	for _, op := range order {
-		r := *agg[op]
-		if r.Pairs > 0 {
-			r.MeanLatencyUS /= float64(r.Pairs)
-		}
-		rows = append(rows, r)
-	}
-	return rows
 }

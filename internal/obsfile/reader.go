@@ -51,37 +51,15 @@ func (s *Span) AttrFloat(key string) (float64, bool) {
 	return v, ok
 }
 
-// TraceMeta identifies the process (or merge) that wrote a trace log.
+// TraceMeta identifies the process that wrote a trace log.
 type TraceMeta struct {
-	// Rank is the writing process's dist rank; -1 for a plain
-	// single-process trace.
+	// Rank is the meta line's rank field; obs.JSONLSink writes -1.
 	Rank int
-	// PID is the writer's OS process id (0 in merged traces).
+	// PID is the writer's OS process id.
 	PID int
 	// EpochUnixNS is the writer's trace origin on its own wall clock
-	// (unix nanoseconds); the base clock in merged traces.
+	// (unix nanoseconds).
 	EpochUnixNS int64
-	// Merged marks a multi-rank trace produced by MergeRanks, with
-	// RankCount rank logs folded in and MaxResidualNS the worst-case
-	// clock skew remaining after correction (half the largest sync-ping
-	// round trip).
-	Merged        bool
-	RankCount     int
-	MaxResidualNS int64
-}
-
-// Flow is one matched sender→receiver communication pair: a
-// dist.net.send span on rank From paired with the dist.net.recv span on
-// rank To that consumed the same frame (key: op/seq/step/from/to from
-// the wire header). Written by MergeRanks as {"type":"flow"} records.
-type Flow struct {
-	Op        string
-	Seq       int64
-	Step      int64
-	From, To  int
-	SendID    int64
-	RecvID    int64
-	LatencyUS float64
 }
 
 // Trace is one parsed trace log.
@@ -98,20 +76,13 @@ type Trace struct {
 	// Meta is the leading writer-identity record (nil in logs predating
 	// it).
 	Meta *TraceMeta
-	// Flows holds the matched cross-rank comm pairs of a merged trace.
-	Flows []Flow
 	// Truncated reports that the final line of the log failed to parse
-	// and was dropped — the signature of a writer killed mid-record
-	// (rank teardown past the SIGTERM grace). Everything before it is
-	// intact.
+	// and was dropped — the signature of a writer killed mid-record.
+	// Everything before it is intact.
 	Truncated bool
 
 	byID map[int64]*Span
 }
-
-// IsMerged reports whether this is a multi-rank trace produced by
-// MergeRanks (spans carry "rank" attributes and tracks are rank ids).
-func (t *Trace) IsMerged() bool { return t.Meta != nil && t.Meta.Merged }
 
 // Span returns the span with the given id, or nil.
 func (t *Trace) Span(id int64) *Span { return t.byID[id] }
@@ -154,28 +125,15 @@ type record struct {
 	Metrics map[string]float64 `json:"metrics"`
 
 	// meta fields (Rank is shared with the rank record above)
-	PID           int   `json:"pid"`
-	EpochUnixNS   int64 `json:"epoch_unix_ns"`
-	Merged        bool  `json:"merged"`
-	RankCount     int   `json:"ranks"`
-	MaxResidualNS int64 `json:"max_residual_ns"`
-
-	// flow fields (Op shares "op"; From/To/Seq/Step are flow-only)
-	Op        string  `json:"op"`
-	Seq       int64   `json:"seq"`
-	Step      int64   `json:"step"`
-	From      int     `json:"from"`
-	To        int     `json:"to"`
-	SendID    int64   `json:"send_id"`
-	RecvID    int64   `json:"recv_id"`
-	LatencyUS float64 `json:"latency_us"`
+	PID         int   `json:"pid"`
+	EpochUnixNS int64 `json:"epoch_unix_ns"`
 }
 
 // Read parses a JSONL trace log and links the span tree. A final line
 // that fails to parse is dropped and flagged (Trace.Truncated) rather
-// than failing the read: a rank killed past its teardown grace leaves
-// exactly that — a log cut mid-record. A malformed line with intact
-// lines after it is still an error.
+// than failing the read: a writer killed mid-run leaves exactly that — a
+// log cut mid-record. A malformed line with intact lines after it is
+// still an error.
 func Read(r io.Reader) (*Trace, error) {
 	t := &Trace{byID: map[int64]*Span{}}
 	sc := bufio.NewScanner(r)
@@ -217,19 +175,8 @@ func Read(r io.Reader) (*Trace, error) {
 			t.Metrics = rec.Metrics
 		case "meta":
 			if t.Meta == nil {
-				t.Meta = &TraceMeta{
-					Rank: rec.Rank, PID: rec.PID, EpochUnixNS: rec.EpochUnixNS,
-					Merged: rec.Merged, RankCount: rec.RankCount,
-					MaxResidualNS: rec.MaxResidualNS,
-				}
+				t.Meta = &TraceMeta{Rank: rec.Rank, PID: rec.PID, EpochUnixNS: rec.EpochUnixNS}
 			}
-		case "flow":
-			t.Flows = append(t.Flows, Flow{
-				Op: rec.Op, Seq: rec.Seq, Step: rec.Step,
-				From: rec.From, To: rec.To,
-				SendID: rec.SendID, RecvID: rec.RecvID,
-				LatencyUS: rec.LatencyUS,
-			})
 		default:
 			return nil, fmt.Errorf("line %d: unknown record type %q", line, rec.Type)
 		}

@@ -1,8 +1,6 @@
 package peps
 
 import (
-	"math/rand"
-
 	"gokoala/internal/backend"
 	"gokoala/internal/einsumsvd"
 	"gokoala/internal/obs"
@@ -155,14 +153,4 @@ func (p *PEPS) ApplyCircuit(gates []quantum.TrotterGate, opts UpdateOptions) {
 	for _, d := range deltas {
 		p.LogScale += d
 	}
-}
-
-// RandomGateUpdateOptions returns update options suitable for random
-// circuit evolution: exact QR updates with a deterministic sub-rng.
-func RandomGateUpdateOptions(rank int, rng *rand.Rand, implicit bool) UpdateOptions {
-	opts := UpdateOptions{Rank: rank, Method: UpdateQR}
-	if implicit {
-		opts.Strategy = einsumsvd.ImplicitRand{Mode: einsumsvd.SigmaBoth, Rng: rng}
-	}
-	return opts
 }

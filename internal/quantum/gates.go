@@ -151,6 +151,3 @@ func RandomUnitary(rng *rand.Rand, d int) *tensor.Dense {
 	}
 	return q
 }
-
-// Dagger returns the conjugate transpose of a gate matrix.
-func Dagger(g *tensor.Dense) *tensor.Dense { return g.Conj().Transpose(1, 0) }

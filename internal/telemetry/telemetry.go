@@ -1,9 +1,9 @@
 // Package telemetry is the live HTTP surface over the one metric registry
 // (internal/obs): where obs records a run for post-hoc analysis, telemetry
 // serves the *running* job — the registry as Prometheus text (/metrics,
-// prom.go), the numerical-health rollup with rank liveness (/healthz),
-// structured step events as a Server-Sent-Events stream (/events) and the
-// runtime profiles (/debug/pprof; see server.go) — over an embeddable
+// prom.go), the numerical-health rollup (/healthz), structured step
+// events as a Server-Sent-Events stream (/events) and the runtime
+// profiles (/debug/pprof; see server.go) — over an embeddable
 // stdlib-only listener. It holds no metric of its own: library code
 // (linalg truncations, peps bond updates, ite steps) publishes into obs,
 // gated by the one obs.Enable switch, and this package renders what it
@@ -137,7 +137,7 @@ func Subscribe(buf int) (ch <-chan Event, replay []Event, cancel func()) {
 	}
 }
 
-// Reset clears queued events, the run info and the rank registry, and
+// Reset clears queued events and the run info, and
 // cancels active subscribers. Serve calls it so each run's stream starts
 // clean; tests use it for isolation. The metric registry is obs's to
 // reset (obs.Enable, obs.ResetCounters).
@@ -155,5 +155,4 @@ func Reset() {
 	runInfo.labels = nil
 	runInfo.start = time.Time{}
 	runInfo.mu.Unlock()
-	ResetRanks()
 }

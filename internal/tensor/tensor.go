@@ -116,15 +116,6 @@ func Rand(rng *rand.Rand, shape ...int) *Dense {
 	return t
 }
 
-// RandReal returns a tensor with real entries drawn uniformly from [-1, 1).
-func RandReal(rng *rand.Rand, shape ...int) *Dense {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = complex(2*rng.Float64()-1, 0)
-	}
-	return t
-}
-
 func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
