@@ -145,11 +145,15 @@ bench-compare:
 
 # The wall-clock benchmark is a module of its own (benchmark/go.mod with
 # a replace onto this tree) that `go build ./...` here never sees, so a
-# root refactor can break its imports silently. Compile and vet it; its
-# tests take ~30 s and one of them is timing-sensitive, so they stay out
-# of the gate.
+# root refactor can break its imports silently. Compile and vet it, then
+# run its deterministic tests (~10 s). TestLayerSeparation among them
+# asserts that norm_ibmps calls TruncSVD zero times: the guard that the
+# applications' priced default (einsumsvd.Priced) never leaks into that
+# pure-ImplicitRand workload. TestEveryWorkloadRunsAndChecks runs every
+# workload for ~30 s and is timing-sensitive, so it stays out.
 bench-module:
 	cd benchmark && $(GO) vet ./...
+	cd benchmark && $(GO) test -count=1 -skip TestEveryWorkloadRunsAndChecks ./...
 
 # Block-sparse acceptance smoke: run the sym suite (dense vs
 # block-sparse ITE at equal bond dimension) and require every model's

@@ -38,7 +38,6 @@ func main() {
 	every := flag.Int("every", 10, "measure energy every k steps")
 	seed := cliutil.SeedFlag(1)
 	sym := cliutil.SymFlag()
-	explicit := flag.Bool("explicit", false, "use explicit SVD (BMPS) instead of implicit randomized SVD (IBMPS)")
 	reference := flag.Bool("reference", true, "also compute the exact reference when the lattice is small enough")
 	healthFlag := cliutil.HealthFlag()
 	ck := cliutil.CheckpointFlags("steps")
@@ -109,10 +108,10 @@ func main() {
 			mm = 2
 		}
 	}
-	var strategy einsumsvd.Strategy = einsumsvd.ImplicitRand{Rng: rand.New(rand.NewSource(*seed)), Sketch32: *f32Sketch}
-	if *explicit {
-		strategy = einsumsvd.Explicit{}
-	}
+	// Priced runs the explicit SVD (BMPS) where forming the operator is
+	// cheaper than sketching it, the implicit randomized SVD (IBMPS)
+	// elsewhere; -f32-sketch applies to the latter.
+	strategy := einsumsvd.Priced{ImplicitRand: einsumsvd.ImplicitRand{Rng: rand.New(rand.NewSource(*seed)), Sketch32: *f32Sketch}}
 
 	n := (*rows) * (*cols)
 	if *reference && n <= 16 {

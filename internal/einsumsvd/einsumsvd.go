@@ -21,6 +21,9 @@
 //     (paper Algorithm 4) applying the uncontracted network as an implicit
 //     operator. This is what turns BMPS into IBMPS and gives the
 //     asymptotic savings of paper Table II.
+//
+// A third, Priced, runs whichever of the two its cost model prices lower
+// for the operand shapes at hand; it is the applications' default.
 package einsumsvd
 
 import (
@@ -105,6 +108,23 @@ type ImplicitRand struct {
 
 func (ImplicitRand) Name() string { return "implicit-rsvd" }
 
+// Priced factors each split through Explicit{Mode} or through the
+// embedded ImplicitRand, whichever the cost model (splitSpec.sketchPays)
+// prices lower for the operand shapes, rank and sketch parameters at
+// hand. Randomization pays only when the sketch is much narrower than the
+// operator (Halko, Martinsson and Tropp 2011): at Fig. 13's sizes forming
+// the operator and taking its exact SVD is cheaper, while Table II's wide
+// networks keep the sketch. Either branch is bit-identical to the
+// strategy it runs; the form branch leaves Rng untouched. It is the nil
+// default of the applications (ite, vqe, the koala facade, koala-ite);
+// the figure suites construct Explicit or ImplicitRand themselves, so
+// they still compare the two algorithms.
+type Priced struct {
+	ImplicitRand
+}
+
+func (Priced) Name() string { return "priced-svd" }
+
 // MustFactor is a panic-on-error convenience for specs that are constants
 // in library code.
 func MustFactor(st Strategy, eng backend.Engine, spec string, rank int, ops ...*tensor.Dense) (*tensor.Dense, *tensor.Dense, []float64) {
@@ -186,6 +206,7 @@ type splitSpec struct {
 
 	planMu sync.Mutex
 	plans  map[planKey]*operatorPlan
+	pays   map[priceKey]bool // Priced's memoized choices (sketchPays)
 }
 
 func shapesOf[T interface{ Shape() []int }](ops []T) [][]int {
@@ -445,33 +466,63 @@ func (e Explicit) factor(wantErr bool, eng backend.Engine, spec string, rank int
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
+	a, b, s, te := p.explicit(wantErr, eng, rank, ops, e.Mode)
+	return a, b, s, te, nil
+}
+
+// explicit is the contract-then-SVD path over a compiled spec; the
+// truncation error is TruncUnknown unless wantErr.
+func (p *splitSpec) explicit(wantErr bool, eng backend.Engine, rank int, ops []*tensor.Dense, mode SigmaMode) (*tensor.Dense, *tensor.Dense, []float64, float64) {
 	full := eng.Einsum(p.fullSpec, ops...)
 	u, s, v := eng.TruncSVD(full.Reshape(p.rowSize, p.colSize), rank)
 	te := TruncUnknown
 	if wantErr {
 		te = discardedWeight(s, full.Norm())
 	}
-	a, b := p.assemble(eng, u, s, v, e.Mode)
-	return a, b, s, te, nil
+	a, b := p.assemble(eng, u, s, v, mode)
+	return a, b, s, te
 }
 
 // Factor implements Strategy for the implicit randomized-SVD path.
 func (ir ImplicitRand) Factor(eng backend.Engine, spec string, rank int, ops ...*tensor.Dense) (*tensor.Dense, *tensor.Dense, []float64, error) {
+	a, b, s, _, err := ir.factor(false, eng, spec, rank, ops)
+	return a, b, s, err
+}
+
+// FactorTrunc implements TruncReporter. A sketch never holds the
+// operator, so its truncation error is TruncUnknown; the exact fallback
+// holds it and reports it.
+func (ir ImplicitRand) FactorTrunc(eng backend.Engine, spec string, rank int, ops ...*tensor.Dense) (*tensor.Dense, *tensor.Dense, []float64, float64, error) {
+	return ir.factor(true, eng, spec, rank, ops)
+}
+
+func (ir ImplicitRand) factor(wantErr bool, eng backend.Engine, spec string, rank int, ops []*tensor.Dense) (*tensor.Dense, *tensor.Dense, []float64, float64, error) {
 	if ir.Rng == nil {
-		return nil, nil, nil, fmt.Errorf("ImplicitRand requires a Rng")
+		return nil, nil, nil, 0, fmt.Errorf("ImplicitRand requires a Rng")
 	}
 	p, err := compiled(spec, shapesOf(ops))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, 0, err
 	}
-	nIter := ir.NIter
+	nIter, oversample := ir.params()
+	a, b, s, te := ir.sketch(wantErr, eng, p, rank, nIter, oversample, ops)
+	return a, b, s, te, nil
+}
+
+// params returns NIter and Oversample with their defaults applied.
+func (ir ImplicitRand) params() (nIter, oversample int) {
+	nIter, oversample = ir.NIter, ir.Oversample
 	if nIter == 0 {
 		nIter = 1
 	}
-	oversample := ir.Oversample
 	if oversample == 0 {
 		oversample = 4
 	}
+	return nIter, oversample
+}
+
+// sketch is the randomized path over a compiled spec.
+func (ir ImplicitRand) sketch(wantErr bool, eng backend.Engine, p *splitSpec, rank, nIter, oversample int, ops []*tensor.Dense) (*tensor.Dense, *tensor.Dense, []float64, float64) {
 	width := linalg.SketchWidth(rank, oversample, p.rowSize, p.colSize)
 	op := newNetworkOperator(eng, p, p.operatorPlan(width, nIter), ops)
 	u, s, v, rep := backend.RandSVDChecked(eng, op, rank, nIter, oversample, ir.Rng, ir.FallbackTol, ir.Sketch32)
@@ -482,8 +533,38 @@ func (ir ImplicitRand) Factor(eng backend.Engine, spec string, rank int, ops ...
 		// deterministic (the probe rng never touches ir.Rng), so the
 		// fallback fires identically at any worker count.
 		health.CountSVDFallback()
-		return Explicit{Mode: ir.Mode}.Factor(eng, spec, rank, ops...)
+		return p.explicit(wantErr, eng, rank, ops, ir.Mode)
 	}
 	a, b := p.assemble(eng, u, s, v, ir.Mode)
-	return a, b, s, nil
+	return a, b, s, TruncUnknown
+}
+
+// Factor implements Strategy: Explicit{Mode} or the embedded
+// ImplicitRand, whichever is priced lower.
+func (pr Priced) Factor(eng backend.Engine, spec string, rank int, ops ...*tensor.Dense) (*tensor.Dense, *tensor.Dense, []float64, error) {
+	a, b, s, _, err := pr.factor(false, eng, spec, rank, ops)
+	return a, b, s, err
+}
+
+// FactorTrunc implements TruncReporter: the form branch reports the
+// discarded weight, the sketch branch as ImplicitRand does.
+func (pr Priced) FactorTrunc(eng backend.Engine, spec string, rank int, ops ...*tensor.Dense) (*tensor.Dense, *tensor.Dense, []float64, float64, error) {
+	return pr.factor(true, eng, spec, rank, ops)
+}
+
+func (pr Priced) factor(wantErr bool, eng backend.Engine, spec string, rank int, ops []*tensor.Dense) (*tensor.Dense, *tensor.Dense, []float64, float64, error) {
+	if pr.Rng == nil {
+		return nil, nil, nil, 0, fmt.Errorf("Priced requires a Rng")
+	}
+	p, err := compiled(spec, shapesOf(ops))
+	if err != nil {
+		return nil, nil, nil, 0, err
+	}
+	nIter, oversample := pr.params()
+	if !p.sketchPays(rank, linalg.SketchWidth(rank, oversample, p.rowSize, p.colSize), nIter) {
+		a, b, s, te := p.explicit(wantErr, eng, rank, ops, pr.Mode)
+		return a, b, s, te, nil
+	}
+	a, b, s, te := pr.sketch(wantErr, eng, p, rank, nIter, oversample, ops)
+	return a, b, s, te, nil
 }

@@ -18,22 +18,26 @@ type Forker interface {
 // checkpoint-resumed run reproduce an uninterrupted one bit-identically:
 // the resumed process never needs the rng position the dead process had.
 func Reseed(st Strategy, seed int64) Strategy {
-	if s, ok := st.(ImplicitRand); ok {
+	switch s := st.(type) {
+	case ImplicitRand:
 		s.Rng = rand.New(rand.NewSource(seed))
+		return s
+	case Priced:
+		s.Rng = rand.New(&lazySource{seed: seed})
 		return s
 	}
 	return st
 }
 
 // Fork splits st into n strategies safe for concurrent use, one per
-// lattice task. The split is deterministic: ImplicitRand draws one seed
-// per task from its parent Rng, in task order, on the calling goroutine,
-// so the per-task random streams depend only on the parent stream's
-// position — never on scheduling — and parallel lattice algorithms stay
-// bit-identical across worker counts. A nil or stateless strategy
-// (Explicit) forks into shared copies. Fork returns nil for unknown
-// stateful strategies, signaling the caller to fall back to a
-// sequential path.
+// lattice task. The split is deterministic: ImplicitRand (and the one
+// inside Priced) draws one seed per task from its parent Rng, in task
+// order, on the calling goroutine, so the per-task random streams depend
+// only on the parent stream's position — never on scheduling — and
+// parallel lattice algorithms stay bit-identical across worker counts.
+// A nil or stateless strategy (Explicit) forks into shared copies. Fork
+// returns nil for unknown stateful strategies, signaling the caller to
+// fall back to a sequential path.
 func Fork(st Strategy, n int) []Strategy {
 	if n <= 0 {
 		return nil
@@ -58,6 +62,37 @@ func Fork(st Strategy, n int) []Strategy {
 			out[i] = c
 		}
 		return out
+	case Priced:
+		for i := range out {
+			c := s
+			if s.Rng != nil {
+				c.Rng = rand.New(&lazySource{seed: s.Rng.Int63()})
+			}
+			out[i] = c
+		}
+		return out
 	}
 	return nil
 }
+
+// lazySource is rand.NewSource(seed), seeded on its first draw. Priced
+// reseeds and forks through it: a measurement forks one strategy per
+// Hamiltonian term, and where every split is formed none of them draws,
+// so none pays for a source (a 4.9 KB allocation and ~10 us of seeding
+// each). A strategy that does sketch draws the stream rand.NewSource(seed)
+// gives, so its sketch stays bit-identical to ImplicitRand's.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (l *lazySource) get() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64    { return l.get().Int63() }
+func (l *lazySource) Uint64() uint64  { return l.get().Uint64() }
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }

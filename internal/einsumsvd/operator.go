@@ -115,6 +115,68 @@ func (p *splitSpec) choosePlan(width, nIter int) *operatorPlan {
 	return best
 }
 
+type priceKey struct{ rank, width, nIter int }
+
+// sketchPays reports whether the sketch is priced below forming the
+// operator for a rank-`rank` Factor call at the given sketch width and
+// iteration count (see prices); the choice is made once per key.
+func (p *splitSpec) sketchPays(rank, width, nIter int) bool {
+	key := priceKey{rank, width, nIter}
+	p.planMu.Lock()
+	pays, ok := p.pays[key]
+	p.planMu.Unlock()
+	if ok {
+		return pays
+	}
+	form, sketch := p.prices(rank, width, nIter)
+	pays = sketch < form
+	p.planMu.Lock()
+	if p.pays == nil {
+		p.pays = map[priceKey]bool{}
+	}
+	p.pays[key] = pays
+	p.planMu.Unlock()
+	return pays
+}
+
+// prices models one Factor call of each path in complex multiply-adds
+// (cmacs), the unit of einsum.PathCost and of operatorPlan.cmacs:
+//
+//   - form: the contraction to the rowSize x colSize matrix along the
+//     planner's path, plus that matrix's SVD;
+//   - sketch: the operator plan (its hoisted contractions, NIter+1
+//     forward, NIter+1 adjoint and one probe application), plus RandSVD's
+//     2*NIter+1 block orthogonalizations (one per application but the
+//     last adjoint, which forms B), the SVD of the width x colSize B, the
+//     probe's projection onto the sketch and U = P U~.
+//
+// linalg.QRFlops counts the Householder QR's multiply-adds one for one,
+// so it enters as it is. linalg.SVDFlops charges GESVD's standard count,
+// 7 m n min(m, n), for a factorization that builds every singular pair;
+// both SVDs here keep at most the sketch width of pairs, and linalg's
+// truncating SVD replays its rotations onto those only, so one unit of
+// SVDFlops enters as svdCmacs of a cmac.
+func (p *splitSpec) prices(rank, width, nIter int) (form, sketch float64) {
+	svd := func(m, n int) float64 { return svdCmacs * float64(linalg.SVDFlops(m, n)) }
+	out := p.row + p.col
+	full, _ := einsum.PathCost(p.subs, p.dims, out, einsum.PlanPath(p.subs, p.dims, out))
+	m, n := p.rowSize, p.colSize
+	form = full + svd(m, n)
+
+	k := min(rank, m, n)
+	sketch = p.operatorPlan(width, nIter).cmacs +
+		float64(int64(nIter+1)*linalg.QRFlops(m, width)+int64(nIter)*linalg.QRFlops(n, width)) +
+		svd(width, n) + float64(m*width*(2*linalg.ProbeColumns+k))
+	return form, sketch
+}
+
+// svdCmacs is the cmacs one unit of linalg.SVDFlops costs in prices,
+// read off the clock at BenchmarkPricedChoice's shapes (2 vCPUs): the
+// truncating SVD of the formed 16x16 matrix spent 1.5 ns per unit
+// against 2.7 ns per cmac for the contraction forming it and 3.4 ns for
+// the sketch's applications; at 256x256, 0.21 ns against 0.44 and 0.42.
+const svdCmacs = 0.5
+
 // decompose builds the plan that hoists the groups assign describes
 // (operand i belongs to group assign[i], groups numbered by first member)
 // and models its cost. largest is the element count of the largest tensor

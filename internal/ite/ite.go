@@ -29,10 +29,13 @@ type Options struct {
 	// measuring energies (paper studies m = r and m = r^2).
 	ContractionRank int
 	// Strategy is the einsumsvd strategy for energy contraction; nil
-	// selects implicit randomized SVD (IBMPS), as in the paper's
-	// Figure 13 runs. Stateful strategies are reseeded from (Seed, step)
-	// before every measurement, making each measurement's random stream a
-	// pure function of the step — the property checkpoint resume needs.
+	// selects einsumsvd.Priced, which runs the implicit randomized SVD
+	// (IBMPS) of the paper's Figure 13 runs where its cost model prices
+	// the sketch below forming the operator, and the explicit SVD (BMPS)
+	// elsewhere — at Figure 13's r=2, m=4 on every split. Stateful
+	// strategies are reseeded from (Seed, step) before every
+	// measurement, making each measurement's random stream a pure
+	// function of the step — the property checkpoint resume needs.
 	Strategy einsumsvd.Strategy
 	// MeasureEvery measures the energy every k steps (default 1). The
 	// final step is always measured.
@@ -175,7 +178,7 @@ func evolve(h *quantum.Observable, opts Options, d driver) Result {
 	}
 	strategy := opts.Strategy
 	if strategy == nil {
-		strategy = einsumsvd.ImplicitRand{Rng: rand.New(rand.NewSource(opts.Seed + 1))}
+		strategy = einsumsvd.Priced{ImplicitRand: einsumsvd.ImplicitRand{Rng: rand.New(rand.NewSource(opts.Seed + 1))}}
 	}
 	for step := start; step <= opts.Steps; step++ {
 		d.sweep()

@@ -34,13 +34,16 @@ type BMPS struct {
 	// M is the truncation bond dimension of the boundary MPS.
 	M int
 	// Strategy is the einsumsvd implementation; Explicit ~ BMPS,
-	// ImplicitRand ~ IBMPS.
+	// ImplicitRand ~ IBMPS, Priced picks one of the two per split.
 	Strategy einsumsvd.Strategy
 }
 
 func (b BMPS) Name() string {
-	if _, ok := b.Strategy.(einsumsvd.ImplicitRand); ok {
+	switch b.Strategy.(type) {
+	case einsumsvd.ImplicitRand:
 		return "ibmps"
+	case einsumsvd.Priced:
+		return "priced-bmps"
 	}
 	return "bmps"
 }
@@ -55,8 +58,11 @@ type TwoLayerBMPS struct {
 }
 
 func (b TwoLayerBMPS) Name() string {
-	if _, ok := b.Strategy.(einsumsvd.ImplicitRand); ok {
+	switch b.Strategy.(type) {
+	case einsumsvd.ImplicitRand:
 		return "2layer-ibmps"
+	case einsumsvd.Priced:
+		return "2layer-priced-bmps"
 	}
 	return "2layer-bmps"
 }

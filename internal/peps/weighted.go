@@ -227,6 +227,9 @@ func withSigmaNone(st einsumsvd.Strategy) einsumsvd.Strategy {
 	case einsumsvd.ImplicitRand:
 		v.Mode = einsumsvd.SigmaNone
 		return v
+	case einsumsvd.Priced:
+		v.Mode = einsumsvd.SigmaNone
+		return v
 	case nil:
 		return einsumsvd.Explicit{Mode: einsumsvd.SigmaNone}
 	default:

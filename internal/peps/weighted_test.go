@@ -159,3 +159,45 @@ func TestRoutedApplicationsSymmetric(t *testing.T) {
 		t.Fatalf("swap steps not paired: %d", len(steps)-1)
 	}
 }
+
+// TestWithSigmaNoneEveryStrategy: the weighted update keeps the singular
+// values as bond weights, so every strategy it is handed must come back
+// in SigmaNone with its other fields intact, the priced one included
+// (an unknown strategy comes back unchanged).
+func TestWithSigmaNoneEveryStrategy(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ir := einsumsvd.ImplicitRand{Mode: einsumsvd.SigmaBoth, NIter: 2, Rng: rng}
+	for _, st := range []einsumsvd.Strategy{
+		nil,
+		einsumsvd.Explicit{Mode: einsumsvd.SigmaBoth},
+		ir,
+		einsumsvd.Priced{ImplicitRand: ir},
+	} {
+		var mode einsumsvd.SigmaMode
+		switch v := withSigmaNone(st).(type) {
+		case einsumsvd.Explicit:
+			mode = v.Mode
+		case einsumsvd.ImplicitRand:
+			mode = v.Mode
+			if v.NIter != 2 || v.Rng != rng {
+				t.Errorf("%T lost its fields: %+v", st, v)
+			}
+		case einsumsvd.Priced:
+			mode = v.Mode
+			if v.NIter != 2 || v.Rng != rng {
+				t.Errorf("%T lost its fields: %+v", st, v)
+			}
+		default:
+			t.Fatalf("withSigmaNone(%T) = %T", st, v)
+		}
+		if mode != einsumsvd.SigmaNone {
+			t.Errorf("withSigmaNone(%T) has mode %v, want SigmaNone", st, mode)
+		}
+	}
+	if got := (BMPS{Strategy: einsumsvd.Priced{}}).Name(); got != "priced-bmps" {
+		t.Errorf("BMPS name with Priced = %q", got)
+	}
+	if got := (TwoLayerBMPS{Strategy: einsumsvd.Priced{}}).Name(); got != "2layer-priced-bmps" {
+		t.Errorf("TwoLayerBMPS name with Priced = %q", got)
+	}
+}

@@ -77,7 +77,8 @@ type Options struct {
 	// Seed seeds the randomized SVD sketches and start parameters.
 	Seed int64
 	// Strategy overrides the einsumsvd strategy for energy contraction;
-	// nil selects implicit randomized SVD.
+	// nil selects einsumsvd.Priced: implicit randomized SVD where its
+	// cost model prices the sketch lower, explicit SVD elsewhere.
 	Strategy einsumsvd.Strategy
 	// Engine is the tensor backend (defaults to the dense engine).
 	Engine backend.Engine
@@ -132,7 +133,7 @@ func EnergyPEPS(a Ansatz, obs *quantum.Observable, theta []float64, opts Options
 	}
 	strategy := opts.Strategy
 	if strategy == nil {
-		strategy = einsumsvd.ImplicitRand{Rng: rand.New(rand.NewSource(opts.Seed + 17))}
+		strategy = einsumsvd.Priced{ImplicitRand: einsumsvd.ImplicitRand{Rng: rand.New(rand.NewSource(opts.Seed + 17))}}
 	}
 	m := opts.ContractionRank
 	if m <= 0 {

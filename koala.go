@@ -2,7 +2,9 @@
 // quantum state with the operator-application and measurement interface
 // of the paper's Koala library (section V-A), assembled from the
 // internal packages. The facade owns sensible defaults (QR-SVD updates,
-// implicit randomized SVD contraction with caching) so that typical use
+// priced contraction with caching: implicit randomized SVD where the
+// cost model prices the sketch lower, explicit SVD elsewhere, see
+// einsumsvd.Priced) so that typical use
 // reads like the paper's Python example:
 //
 //	q := gokoala.ComputationalZeros(2, 3)
@@ -63,8 +65,9 @@ func WithContractionBond(m int) Option { return func(c *config) { c.contractBond
 // WithSeed seeds the randomized-SVD sketches (default 1).
 func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 
-// WithExplicitSVD switches contraction from implicit randomized SVD
-// (IBMPS) to explicit truncated SVD (BMPS).
+// WithExplicitSVD switches contraction from the priced default, which
+// runs implicit randomized SVD (IBMPS) where its cost model prices the
+// sketch lower, to explicit truncated SVD (BMPS) everywhere.
 func WithExplicitSVD() Option { return func(c *config) { c.explicitSVD = true } }
 
 // WithoutCache disables the intermediate caching of expectation values
@@ -98,7 +101,7 @@ func (c config) strategy() einsumsvd.Strategy {
 	if c.explicitSVD {
 		return einsumsvd.Explicit{}
 	}
-	return einsumsvd.ImplicitRand{Rng: rand.New(rand.NewSource(c.seed))}
+	return einsumsvd.Priced{ImplicitRand: einsumsvd.ImplicitRand{Rng: rand.New(rand.NewSource(c.seed))}}
 }
 
 func (c config) m() int {
